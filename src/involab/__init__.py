@@ -31,10 +31,8 @@ from .cover import (
     CoverComplex,
     SurfacePresentation,
     build_cover,
-    cover_orientable,
     presentation,
     prop2_tower,
-    rank_bound,
 )
 from .fgenus import (
     FValue,
@@ -72,10 +70,8 @@ __all__ = [
     "CoverComplex",
     "SurfacePresentation",
     "build_cover",
-    "cover_orientable",
     "presentation",
     "prop2_tower",
-    "rank_bound",
     "FValue",
     "GenusDecomposition",
     "H",

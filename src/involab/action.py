@@ -105,9 +105,6 @@ class Subgroup:
         return Subgroup(gens, basis)
 
 
-TRIVIAL_SUBGROUP = Subgroup((), ())
-
-
 def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
     """True iff every nonidentity element of H moves every point.
 

@@ -8,9 +8,10 @@ table as CSV).
 
 Primary output goes to stdout and is byte-deterministic for fixed
 inputs; everything diagnostic goes to stderr. Exit codes: 0 success,
-2 invalid input, 3 a resource cap was exceeded. The environment
-variable INVOLAB_CELL_CAP overrides the cell-count build cap (an
-integer bound on m).
+2 invalid input, 3 a resource cap was exceeded, 4 two derivations of
+the same answer disagreed (CrossCheckError, a bug in the package). The
+environment variable INVOLAB_CELL_CAP overrides the cell-count build
+cap of ``rzk`` (an integer bound on m).
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import os
 import sys
 
 from . import action, cover, fgenus, rzk, scomplex
-from .errors import CapError, NotASurfaceError, ValidationError
+from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_CROSSCHECK = 4
 
 
 def _boolean(text: str) -> bool:
@@ -123,9 +125,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.gmax < 0:
         raise ValidationError(f"--gmax must be nonnegative, got {args.gmax}")
+    # --threads is still accepted so that existing scripts keep working;
+    # rows are always computed serially
     if args.threads < 1:
         raise ValidationError(f"--threads must be positive, got {args.threads}")
-    rows = fgenus.figure1_data(args.gmax, threads=args.threads)
+    rows = fgenus.figure1_data(args.gmax)
     text = fgenus.figure_csv(rows)
     if args.out == "-":
         sys.stdout.write(text)
@@ -173,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit the g, bounds, H(g) table as CSV")
     p.add_argument("--gmax", type=int, required=True)
     p.add_argument("--out", default="-", help="output path, - for stdout")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_figure)
     return parser
 
@@ -189,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
 
 
 if __name__ == "__main__":

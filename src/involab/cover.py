@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import gf2
+from . import gf2, glue
 from .errors import CapError, CrossCheckError, ValidationError
 
 MAX_COVER_RANK = 20  # 2^n sheets are materialized; refuse larger n
@@ -74,12 +74,6 @@ def presentation(orientable: bool, genus: int) -> SurfacePresentation:
         for i in range(genus):
             word += [(i, 1), (i, 1)]
     return SurfacePresentation(orientable, genus, tuple(word))
-
-
-def rank_bound(B: SurfacePresentation) -> int:
-    """Upper bound for the rank of a free (Z/2)^n action on the cover side:
-    2g for orientable genus g, g for nonorientable genus g."""
-    return 2 * B.genus if B.orientable else B.genus
 
 
 def _validate_phi(B: SurfacePresentation, phi: Sequence[int]) -> tuple[int, ...]:
@@ -160,7 +154,6 @@ def build_cover(
 
     word = B.word
     edge_count = d * sheets
-    uses: list[list[tuple[int, int]]] = [[] for _ in range(edge_count)]
     boundaries: list[tuple[tuple[int, int], ...]] = []
     for q in range(sheets):
         v = q
@@ -168,61 +161,22 @@ def build_cover(
         for i, s in word:
             shift = cols[i]
             start = v if s > 0 else v ^ shift
-            eid = i * sheets + start
-            path.append((eid, s))
-            uses[eid].append((q, s))
+            path.append((i * sheets + start, s))
             v ^= shift
         if v != q:
             raise CrossCheckError("relator did not close up in the cover")
         boundaries.append(tuple(path))
 
+    uses = glue.edge_uses(boundaries, edge_count)
     for eid, u in enumerate(uses):
         if len(u) != 2:
             raise CrossCheckError(
                 f"edge {eid} traversed {len(u)} times; expected exactly 2"
             )
 
-    # components of the vertex graph: sheets joined by the phi-images
-    seen = bytearray(sheets)
-    components = 0
-    nonzero_cols = [c for c in cols if c]
-    for q0 in range(sheets):
-        if seen[q0]:
-            continue
-        components += 1
-        stack = [q0]
-        seen[q0] = 1
-        while stack:
-            q = stack.pop()
-            for c in nonzero_cols:
-                t = q ^ c
-                if not seen[t]:
-                    seen[t] = 1
-                    stack.append(t)
-
-    # orientation propagation over polygons; shared edge must be traversed
-    # in opposite directions once both polygon orientations are applied
-    orient = [0] * sheets
-    orientable = True
-    for q0 in range(sheets):
-        if orient[q0] or not orientable:
-            continue
-        orient[q0] = 1
-        stack = [q0]
-        while stack and orientable:
-            q = stack.pop()
-            oq = orient[q]
-            for eid, s in boundaries[q]:
-                (c1, s1), (c2, s2) = uses[eid]
-                # constraint o(c1)*s1 = -o(c2)*s2 is symmetric in the two uses
-                other = c2 if (c1 == q and s1 == s) else c1
-                required = -oq * s1 * s2
-                if orient[other] == 0:
-                    orient[other] = required
-                    stack.append(other)
-                elif orient[other] != required:
-                    orientable = False
-                    break
+    # vertices are the sheets, joined along each edge by its generator's image
+    components = glue.xor_components(n, cols)
+    orientable = glue.orient(boundaries, uses) is not None
 
     algebraic = gf2.in_span(B.orientation_character, rows)
     if algebraic != orientable:
@@ -256,13 +210,8 @@ def build_cover(
     )
 
 
-def cover_orientable(B: SurfacePresentation, phi: Sequence[int]) -> bool:
-    """Orientability of the cover; always cross-validated inside the build."""
-    return build_cover(B, phi).orientable
-
-
 def prop2_tower(B: SurfacePresentation) -> list[tuple[int, tuple[int, ...]]]:
-    """Quotient tower: epimorphisms onto (Z/2)^n for n = rank_bound(B) down to 1.
+    """Quotient tower: epimorphisms onto (Z/2)^n for n = B.generator_count down to 1.
 
     Generators are killed one at a time in order a_1, b_1, a_2, ...; the
     rank-n member projects mod-2 homology onto the last n generator
@@ -271,7 +220,7 @@ def prop2_tower(B: SurfacePresentation) -> list[tuple[int, tuple[int, ...]]]:
     """
     d = B.generator_count
     tower = []
-    for n in range(rank_bound(B), 0, -1):
+    for n in range(d, 0, -1):
         rows = tuple(1 << (d - n + r) for r in range(n))
         tower.append((n, rows))
     return tower

@@ -27,7 +27,6 @@ iteration in arbitrary-precision arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 
@@ -106,12 +105,12 @@ def f_exact(
 
     Even a: f = n outright. Odd a: search for an n-dimensional row space
     over the 2-a homology generators that contains the orientation
-    character; a greedy completion of {w} by standard basis vectors
-    decides existence, and a found matrix is certified by building the
-    cover and checking it is connected, orientable, and of genus g. If
-    no such epimorphism exists the answer is n - 1. Quotient genus above
-    ``max_quotient_rank`` or deck group above ``max_sheets`` returns the
-    bounds unresolved.
+    character. A greedy completion of {w} by standard basis vectors
+    always reaches rank n, since n <= 2 - a and w with the standard
+    basis spans GF(2)^(2-a); the matrix is certified by building the
+    cover and checking it is connected, orientable, and of genus g.
+    Quotient genus above ``max_quotient_rank`` or deck group above
+    ``max_sheets`` returns the bounds unresolved.
     """
     dec = decompose(g)
     if dec.a_even:
@@ -129,9 +128,6 @@ def f_exact(
         e = 1 << i
         if not gf2.in_span(e, rows):
             rows.append(e)
-    if len(rows) < n:
-        # rank n is not reachable even from the full spanning family
-        return FValue(g, n - 1, n, n - 1, "cover-resolver", True)
     cc = build_cover(base, rows)
     if not (cc.components == 1 and cc.orientable and cc.genus == g):
         raise CrossCheckError(
@@ -271,22 +267,11 @@ def figure1_data(
     gmax: int,
     max_quotient_rank: int = DEFAULT_MAX_QUOTIENT_RANK,
     max_sheets: int = DEFAULT_MAX_SHEETS,
-    threads: int = 1,
 ) -> list[FigureRow]:
-    """Rows g = 0..gmax of the bounds/exact/envelope table.
-
-    Thread count never changes the result; rows are computed
-    independently and returned in order.
-    """
+    """Rows g = 0..gmax of the bounds/exact/envelope table."""
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
-    gs = range(gmax + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda g: _figure_row(g, max_quotient_rank, max_sheets), gs)
-            )
-    return [_figure_row(g, max_quotient_rank, max_sheets) for g in gs]
+    return [_figure_row(g, max_quotient_rank, max_sheets) for g in range(gmax + 1)]
 
 
 def figure_csv(rows: list[FigureRow]) -> str:

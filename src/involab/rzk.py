@@ -16,18 +16,20 @@ When K is the boundary of an m-gon the result is a closed orientable
 surface; the checks here do not assume that and verify everything from
 the built complex.
 
-Orientation convention used by the BFS: a 2-cell with free coordinates
-i < j is oriented by the ordered frame (x_i, x_j). Only the consistency
-of induced boundary directions is ever asserted, so the convention
-itself is not load-bearing.
+The closed-surface and orientation checks hand the squares to ``glue``
+as boundary words: edge Cell(1 << b, signs) has id ``b << m | signs``
+and vertex Cell(0, signs) is the integer ``signs``. A 2-cell with free
+coordinates i < j is oriented by the ordered frame (x_i, x_j). Only the
+consistency of induced boundary directions is ever asserted, so the
+convention itself is not load-bearing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from . import glue
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .scomplex import SimplicialComplex
 
@@ -63,7 +65,6 @@ class CubicalSurface:
     def __init__(self, m: int, cells_by_dim: dict[int, list[Cell]]):
         self.m = m
         self._cells = {d: tuple(cs) for d, cs in sorted(cells_by_dim.items())}
-        self._edge_squares: dict[Cell, list[Cell]] | None = None
 
     @property
     def dim(self) -> int:
@@ -99,16 +100,6 @@ class CubicalSurface:
             out.append(Cell(free ^ b, signs))
             out.append(Cell(free ^ b, signs | b))
         return tuple(out)
-
-    def edge_to_squares(self) -> dict[Cell, list[Cell]]:
-        """Edge -> incident 2-cells, computed once and cached."""
-        if self._edge_squares is None:
-            table: dict[Cell, list[Cell]] = {e: [] for e in self.cells(1)}
-            for sq in self.cells(2):
-                for e in self.boundary(sq):
-                    table[e].append(sq)
-            self._edge_squares = table
-        return self._edge_squares
 
 
 def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
@@ -170,30 +161,41 @@ class SurfaceReport:
         )
 
 
-def _vertex_components(C: CubicalSurface) -> int:
-    """Number of connected components of the 1-skeleton (= of the complex)."""
-    verts = C.cells(0)
-    adj: dict[Cell, list[Cell]] = {v: [] for v in verts}
-    for e in C.cells(1):
-        a = Cell(0, e.signs)
-        b = Cell(0, e.signs | e.free)
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[Cell] = set()
-    components = 0
-    for v in verts:
-        if v in seen:
-            continue
-        components += 1
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            u = queue.popleft()
-            for wv in adj[u]:
-                if wv not in seen:
-                    seen.add(wv)
-                    queue.append(wv)
-    return components
+def _edge_id(m: int, edge: Cell) -> int:
+    """Index of the edge's free coordinate, then its sign bits: ``b << m | signs``."""
+    return (edge.free.bit_length() - 1) << m | edge.signs
+
+
+def _square_words(C: CubicalSurface) -> list[glue.Word]:
+    """Boundary word of every square, in ``cells(2)`` order, for ``glue``."""
+    return [
+        tuple((_edge_id(C.m, e), _edge_direction(sq, e)) for e in C.boundary(sq))
+        for sq in C.cells(2)
+    ]
+
+
+def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
+    """Whether the arcs, each a two-bit mask, form one cycle through all
+    the nodes, each a single bit."""
+    if not nodes:
+        return False
+    nbrs: dict[int, list[int]] = {b: [] for b in nodes}
+    for arc in arcs:
+        i = arc & -arc
+        j = arc ^ i
+        if i not in nbrs or j not in nbrs:
+            return False
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    if any(len(ends) != 2 for ends in nbrs.values()):
+        return False
+    start = nodes[0]
+    prev, cur, length = start, nbrs[start][0], 1
+    while cur != start:
+        a, b = nbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+        length += 1
+    return length == len(nodes)
 
 
 def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
@@ -208,55 +210,25 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
         raise ValidationError(
             f"closed-surface checks support dimension <= 2, got {C.dim}"
         )
-    e2s = C.edge_to_squares()
-    edges_ok = all(len(sqs) == 2 for sqs in e2s.values())
+    m = C.m
+    edges = C.cells(1)
+    uses = glue.edge_uses(_square_words(C), m << m)
+    edges_ok = all(len(uses[_edge_id(m, e)]) == 2 for e in edges)
 
-    # Link of a vertex: nodes are its incident edges, one arc per incident
-    # square joining the two boundary edges of that square through the vertex.
-    vertex_edges: dict[Cell, list[Cell]] = {v: [] for v in C.cells(0)}
-    for e in C.cells(1):
-        vertex_edges[Cell(0, e.signs)].append(e)
-        vertex_edges[Cell(0, e.signs | e.free)].append(e)
-    vertex_squares: dict[Cell, list[Cell]] = {v: [] for v in C.cells(0)}
-    for sq in C.cells(2):
-        f, s = sq.free, sq.signs
-        for corner_bits in _subsets_ascending(f):
-            vertex_squares[Cell(0, s | corner_bits)].append(sq)
+    # Link of vertex v: one node per edge at v, named by the edge's free
+    # bit, and one arc per square at v, joining the square's two free bits.
+    link_nodes: list[list[int]] = [[] for _ in range(1 << m)]
+    for free, signs in edges:
+        link_nodes[signs].append(free)
+        link_nodes[signs | free].append(free)
+    link_arcs: list[list[int]] = [[] for _ in range(1 << m)]
+    for free, signs in C.cells(2):
+        for corner in _subsets_ascending(free):
+            link_arcs[signs | corner].append(free)
+    links_ok = all(map(_link_is_single_cycle, link_nodes, link_arcs))
 
-    def link_is_single_cycle(v: Cell) -> bool:
-        nodes = vertex_edges[v]
-        if not nodes:
-            return False
-        index = {e: k for k, e in enumerate(nodes)}
-        arcs: list[tuple[int, int]] = []
-        for sq in vertex_squares[v]:
-            through = [e for e in C.boundary(sq) if e in index]
-            if len(through) != 2:
-                return False
-            arcs.append((index[through[0]], index[through[1]]))
-        if len(arcs) != len(nodes):
-            return False
-        degree = [0] * len(nodes)
-        adj: list[list[int]] = [[] for _ in nodes]
-        for a, b in arcs:
-            degree[a] += 1
-            degree[b] += 1
-            adj[a].append(b)
-            adj[b].append(a)
-        if any(d != 2 for d in degree):
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for wv in adj[u]:
-                if wv not in seen:
-                    seen.add(wv)
-                    queue.append(wv)
-        return len(seen) == len(nodes)
-
-    links_ok = all(link_is_single_cycle(v) for v in C.cells(0))
-    connected = _vertex_components(C) == 1
+    # an edge joins the vertices whose signs differ in its free bit
+    connected = glue.xor_components(m, (e.free for e in edges)) == 1
     return SurfaceReport(edges_ok, links_ok, connected)
 
 
@@ -281,26 +253,11 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[Cell, int] | None]:
     report = verify_closed_surface(C)
     if not report.closed_surface:
         raise NotASurfaceError(f"orientability needs a closed surface, got {report}")
-    e2s = C.edge_to_squares()
-    orient: dict[Cell, int] = {}
-    for start in C.cells(2):
-        if start in orient:
-            continue
-        orient[start] = 1
-        queue = deque([start])
-        while queue:
-            sq = queue.popleft()
-            for e in C.boundary(sq):
-                a, b = e2s[e]
-                other = b if a == sq else a
-                # opposite induced directions: o1*d1 = -o2*d2
-                needed = -orient[sq] * _edge_direction(sq, e) * _edge_direction(other, e)
-                if other not in orient:
-                    orient[other] = needed
-                    queue.append(other)
-                elif orient[other] != needed:
-                    return False, None
-    return True, orient
+    words = _square_words(C)
+    signs = glue.orient(words, glue.edge_uses(words, C.m << C.m))
+    if signs is None:
+        return False, None
+    return True, dict(zip(C.cells(2), signs))
 
 
 def genus(C: CubicalSurface) -> tuple[bool, int]:

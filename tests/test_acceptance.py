@@ -26,7 +26,6 @@ from involab.cover import (
     orientable_by_character,
     presentation,
     prop2_tower,
-    rank_bound,
 )
 from involab.fgenus import H, decompose, lambert_w, min_genus
 from involab.rzk import build, genus, orientability, verify_closed_surface
@@ -249,7 +248,7 @@ def test_criterion_10_polygon_surface_equals_tower_cover():
         surface = genus(C)  # (orientable, genus)
         B = presentation(n % 2 == 0, n // 2 if n % 2 == 0 else n)
         top_rank, rows = prop2_tower(B)[0]
-        if top_rank != rank_bound(B) or top_rank != n:
+        if top_rank != B.generator_count or top_rank != n:
             failures.append(f"n={n}: tower top has rank {top_rank}")
         cc = build_cover(B, rows)
         if cc.chi != C.euler_characteristic:

@@ -1,7 +1,7 @@
 """End-to-end CLI checks: output bytes, JSON shapes, exit codes.
 
 Everything goes through main(argv) so the tests see exactly what a
-shell user would, including the 0/2/3 exit-code contract and the
+shell user would, including the 0/2/3/4 exit-code contract and the
 INVOLAB_CELL_CAP override.
 """
 
@@ -79,6 +79,24 @@ def test_invalid_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_cross_check_failure_exits_4(capsys, monkeypatch, tmp_path):
+    from involab import cover
+    from involab.errors import CrossCheckError
+
+    def disagree(*args, **kwargs):
+        raise CrossCheckError("orientability mismatch: planted")
+
+    monkeypatch.setattr(cover, "build_cover", disagree)
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 1\n")
+    code, out, err = run(
+        capsys, "cover", "--orientable", "false", "--genus", "2", "--phi", str(phi)
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: orientability mismatch: planted\n"
 
 
 def test_rzk_cap_exits_3(capsys):
@@ -208,6 +226,13 @@ def test_figure_equality_column(capsys):
         if line.endswith(",true")
     ]
     assert flagged == [0, 1, 5, 17]
+
+
+def test_figure_help_hides_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" not in capsys.readouterr().out
 
 
 def test_figure_is_deterministic_across_threads(capsys):

@@ -18,13 +18,11 @@ from involab.cover import (
     CoverComplex,
     SurfacePresentation,
     build_cover,
-    cover_orientable,
     parse_phi,
     presentation,
     prop2_tower,
-    rank_bound,
 )
-from involab.errors import CapError, ValidationError
+from involab.errors import CapError, CrossCheckError, ValidationError
 
 TORUS = presentation(True, 1)
 GENUS2 = presentation(True, 2)
@@ -52,10 +50,11 @@ def test_presentation_rejects_genus_zero():
 
 
 def test_rank_bound():
-    assert rank_bound(TORUS) == 2
-    assert rank_bound(GENUS2) == 4
-    assert rank_bound(RP2) == 1
-    assert rank_bound(N3) == 3
+    # the rank bound for a free action on the cover side is the generator count
+    assert TORUS.generator_count == 2
+    assert GENUS2.generator_count == 4
+    assert RP2.generator_count == 1
+    assert N3.generator_count == 3
 
 
 def test_trivial_cover_is_the_base():
@@ -149,9 +148,9 @@ def test_cover_laws_exhaustively(B):
 
 
 def test_cover_orientable_matches_character_test():
-    assert not cover_orientable(KLEIN, [0b01])
-    assert cover_orientable(KLEIN, [0b11])
-    assert cover_orientable(TORUS, [0b10])
+    assert not build_cover(KLEIN, [0b01]).orientable
+    assert build_cover(KLEIN, [0b11]).orientable
+    assert build_cover(TORUS, [0b10]).orientable
 
 
 def test_prop2_tower_of_genus2():
@@ -181,6 +180,28 @@ def test_phi_row_must_fit_generators():
         build_cover(TORUS, [0b100])
     with pytest.raises(ValidationError):
         build_cover(TORUS, [-1])
+
+
+def test_build_cover_raises_when_the_relator_does_not_close():
+    # a word crossing its one generator once lifts to an open path
+    broken = SurfacePresentation(False, 1, ((0, 1),))
+    with pytest.raises(CrossCheckError, match="did not close"):
+        build_cover(broken, [0b1])
+
+
+def test_build_cover_raises_when_an_edge_is_not_used_twice():
+    # the second generator appears in no letter, so its lifts bound nothing
+    broken = SurfacePresentation(False, 2, ((0, 1), (0, 1)))
+    with pytest.raises(CrossCheckError, match="traversed 0 times"):
+        build_cover(broken, [])
+
+
+def test_build_cover_raises_when_the_two_orientability_tests_disagree():
+    # the Klein bottle word labelled orientable: its character says
+    # orientable, sign propagation over the glued polygon says not
+    mislabelled = SurfacePresentation(True, 1, KLEIN.word)
+    with pytest.raises(CrossCheckError, match="orientability mismatch"):
+        build_cover(mislabelled, [])
 
 
 def test_rank_cap():

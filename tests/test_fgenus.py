@@ -240,13 +240,6 @@ def test_figure_csv_leaves_unresolved_cell_empty():
     assert line18.endswith(",false")
 
 
-def test_figure_threads_do_not_change_output():
-    serial = figure1_data(40)
-    threaded = figure1_data(40, threads=4)
-    assert serial == threaded
-    assert figure_csv(serial) == figure_csv(threaded)
-
-
 def test_equality_genera_are_realized_by_polygon_surfaces():
     """Tie the table back to the complexes: over an (n+2)-gon boundary the
     surface has the predicted minimal genus and free rank exactly n."""

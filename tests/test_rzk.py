@@ -164,7 +164,11 @@ def test_orientable_with_consistent_assignment(m):
     # re-verify consistency directly: shared edges get opposite directions
     from involab.rzk import _edge_direction
 
-    for e, sqs in C.edge_to_squares().items():
+    edge_squares = {e: [] for e in C.cells(1)}
+    for sq in C.cells(2):
+        for e in C.boundary(sq):
+            edge_squares[e].append(sq)
+    for e, sqs in edge_squares.items():
         s1, s2 = sqs
         assert (
             orient[s1] * _edge_direction(s1, e)
