@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import gf2
-from .errors import CapError, NotASurfaceError, ValidationError
+from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .rzk import Cell, CubicalSurface, orientability
 from .scomplex import SimplicialComplex, mask_of, vertices_of
 
@@ -171,47 +171,67 @@ def max_free_rank(
     chosen with strictly increasing pivots and zero bits on earlier
     pivots, so each subspace is met exactly once; candidates at every
     node are tried in increasing mask order, making the returned witness
-    the first maximal one in that order. A partial basis is abandoned as
-    soon as its span hits a face of K or too few pivot positions remain
-    to beat the best rank found.
+    the first maximal one in that order. A candidate w with pivot p is
+    refused when w + s is a face f for some s in the span so far: f has
+    top bit p and s is the sum of the rows at the pivots in f, so one
+    small set per node and pivot holds every refused candidate. A branch
+    is cut when too few pivot positions remain to beat the best rank
+    found, and the witness goes through cross_check_free.
     """
     if K.m > cap:
         raise CapError(f"m={K.m} exceeds the free-rank search cap {cap}")
-    faces = K.faces
     m = K.m
+    by_top = [[f for f in K.faces if f.bit_length() == p + 1] for p in range(m)]
 
     best_rank = 0
     best_basis: list[int] = []
     chosen: list[int] = []
-    span_list = [0]  # span of `chosen`, grown and truncated in place
+    row = [0] * m  # row[q]: the chosen vector with pivot q, for q in pivot_mask
 
-    def extend(last_pivot: int) -> None:
+    def extend(last_pivot: int, pivot_mask: int) -> None:
         nonlocal best_rank, best_basis
         rank = len(chosen)
-        pivot_mask = 0
-        for v in chosen:
-            pivot_mask |= 1 << gf2.pivot(v)
         for p in range(last_pivot + 1, m):
             if rank + 1 + (m - 1 - p) <= best_rank:
                 break  # even taking every later pivot cannot beat the best
-            free_bits = [b for b in range(p) if not (pivot_mask >> b) & 1]
-            for sub in range(1 << len(free_bits)):
-                w = 1 << p
-                for j, b in enumerate(free_bits):
-                    if (sub >> j) & 1:
-                        w |= 1 << b
-                if any((w ^ s) in faces for s in span_list):
-                    continue
-                chosen.append(w)
-                size = len(span_list)
-                span_list.extend(w ^ s for s in span_list[:size])
-                if len(chosen) > best_rank:
-                    best_rank = len(chosen)
-                    best_basis = list(chosen)
-                extend(p)
-                chosen.pop()
-                del span_list[size:]
+            blocked = set()
+            for f in by_top[p]:
+                on = f & pivot_mask
+                while on:
+                    q = on.bit_length() - 1
+                    f ^= row[q]
+                    on ^= 1 << q
+                blocked.add(f)
+            top = 1 << p
+            free = (top - 1) & ~pivot_mask
+            sub = 0
+            while True:  # the subsets of free, ascending
+                w = top | sub
+                if w not in blocked:
+                    chosen.append(w)
+                    row[p] = w
+                    if len(chosen) > best_rank:
+                        best_rank = len(chosen)
+                        best_basis = list(chosen)
+                    extend(p, pivot_mask | top)
+                    chosen.pop()
+                if sub == free:
+                    break
+                sub = (sub - free) & free
 
-    extend(-1)
+    extend(-1, 0)
     witness = Subgroup.from_generators(SignElement(v) for v in best_basis)
+    cross_check_free(K, witness)
     return best_rank, witness
+
+
+def cross_check_free(K: SimplicialComplex, H: Subgroup) -> None:
+    """Raise CrossCheckError if a nonzero face of K lies in the span of H,
+    reducing each face by H's echelon basis (is_free_subgroup walks 2^rank)."""
+    for f in K.faces:
+        rest = f
+        for b in H.basis:
+            if (rest >> gf2.pivot(b.support)) & 1:
+                rest ^= b.support
+        if f and not rest:
+            raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")

@@ -17,6 +17,7 @@ cap of ``rzk`` (an integer bound on m).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -142,6 +143,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first main() call, then shared by later calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="involab",

@@ -8,6 +8,8 @@ the Gaussian binomial counts) and checking each span element by hand.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involab import gf2
 from involab.action import (
@@ -15,13 +17,14 @@ from involab.action import (
     SignElement,
     Subgroup,
     apply,
+    cross_check_free,
     has_fixed_point,
     is_free_subgroup,
     lemma_generators,
     max_free_rank,
     orientation_sign,
 )
-from involab.errors import CapError, NotASurfaceError, ValidationError
+from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import Cell, build, orientability
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
@@ -220,6 +223,33 @@ def test_max_free_rank_matches_exhaustive_search(m):
     assert rank == exhaustive_max_free_rank(K)
     assert witness.rank == rank
     assert is_free_subgroup(K, witness)
+
+
+@st.composite
+def small_complexes(draw):
+    """A complex on at most 6 vertices, generated by random facets."""
+    m = draw(st.integers(1, 6))
+    vertex_sets = st.sets(st.integers(1, m), min_size=1, max_size=m)
+    return from_facets(m, draw(st.lists(vertex_sets, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_complexes())
+def test_max_free_rank_matches_exhaustive_search_on_random_complexes(K):
+    rank, witness = max_free_rank(K)
+    assert rank == exhaustive_max_free_rank(K)
+    assert witness.rank == rank
+    assert is_free_subgroup(K, witness)
+
+
+def test_cross_check_free_rejects_a_face_in_the_span():
+    # neither generator is a face, but their sum {2,3,4} is the facet
+    K = from_facets(4, [[2, 3, 4]])
+    H = Subgroup.from_generators(SignElement.from_vertices(s, 4) for s in ([1, 2], [1, 3, 4]))
+    assert not any(K.contains_mask(b.support) for b in H.basis)
+    assert not is_free_subgroup(K, H)
+    with pytest.raises(CrossCheckError):
+        cross_check_free(K, H)
 
 
 def test_max_free_rank_trivial_cases():

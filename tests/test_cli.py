@@ -99,6 +99,30 @@ def test_cross_check_failure_exits_4(capsys, monkeypatch, tmp_path):
     assert err == "error: orientability mismatch: planted\n"
 
 
+def test_free_rank_cross_check_failure_exits_4(capsys, monkeypatch):
+    from involab.action import SignElement, Subgroup
+
+    # the search hands back a witness whose span holds the vertex {1}
+    planted = Subgroup.from_generators([SignElement(0b1)])
+    monkeypatch.setattr(Subgroup, "from_generators", staticmethod(lambda gens: planted))
+    code, out, err = run(capsys, "free-rank", "--m", "6")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    run(capsys, "free-rank", "--m", "6", "--json")
+    assert run(capsys, "free-rank", "--m", "6") == (0, "4\n", "")
+    run(capsys, "rzk", "--m", "5", "--report", "text")
+    code, out, _ = run(capsys, "rzk", "--m", "5")
+    assert code == 0 and json.loads(out) == PENTAGON_REPORT
+    with pytest.raises(SystemExit):
+        main(["figure", "--help"])
+    capsys.readouterr()
+    assert run(capsys, "free-rank", "--m", "6", "--witness")[1] == "4\n1 3\n2 4\n1 5\n2 6\n"
+
+
 def test_rzk_cap_exits_3(capsys):
     code, _, err = run(capsys, "rzk", "--m", "21")
     assert code == 3
