@@ -31,6 +31,7 @@ from . import gf2, glue
 from .errors import CapError, CrossCheckError, ValidationError
 
 MAX_COVER_RANK = 20  # 2^n sheets are materialized; refuse larger n
+MAX_GENERATORS = 1 << 16  # the base word is materialized; refuse more generators
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,9 @@ def presentation(orientable: bool, genus: int) -> SurfacePresentation:
     """Standard presentation; genus 0 has no one-polygon word here."""
     if genus < 1:
         raise ValidationError(f"presentation needs genus >= 1, got {genus}")
+    generators = 2 * genus if orientable else genus
+    if generators > MAX_GENERATORS:
+        raise CapError(f"{generators} generators exceed the generator cap {MAX_GENERATORS}")
     word: list[tuple[int, int]] = []
     if orientable:
         for i in range(genus):
@@ -174,8 +178,9 @@ def build_cover(
                 f"edge {eid} traversed {len(u)} times; expected exactly 2"
             )
 
-    # vertices are the sheets, joined along each edge by its generator's image
-    components = glue.xor_components(n, cols)
+    # vertices are the sheets, joined along each edge by its generator's
+    # image, so the components are the cosets of the span of the columns
+    components = 1 << (n - gf2.rank(cols))
     orientable = glue.orient(boundaries, uses) is not None
 
     algebraic = gf2.in_span(B.orientation_character, rows)

@@ -4,15 +4,16 @@ Both surface models in the package are such gluings: the cubical surface
 over a complex (``rzk``) glues squares, a regular cover (``cover``) glues
 one polygon per sheet. A face is given by its boundary word, a tuple of
 (edge id, direction) traversals with direction +1 or -1, and edge ids
-index ``range(edge_count)``. The routines here answer the three questions
-both models ask of a gluing: how often each edge is traversed, how the
-vertices fall into components, and whether the faces can be oriented so
-that every edge is crossed once in each direction.
+index ``range(edge_count)``. The routines here answer the two questions
+both models ask of a gluing: how often each edge is traversed, and
+whether the faces can be oriented so that every edge is crossed once in
+each direction. Components are not counted here: in both models they
+are the cosets of a GF(2) span, counted by its rank.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Word = tuple[tuple[int, int], ...]
 
@@ -24,33 +25,6 @@ def edge_uses(faces: Sequence[Word], edge_count: int) -> list[list[tuple[int, in
         for eid, s in word:
             uses[eid].append((f, s))
     return uses
-
-
-def xor_components(k: int, shifts: Iterable[int]) -> int:
-    """Number of classes of range(2^k) when each q is joined to q ^ s for
-    every shift s.
-
-    Both models have vertices of this kind: sign vectors joined along
-    edges that flip one free coordinate, or sheets joined by the deck
-    elements of the generators. Repeated and zero shifts are dropped.
-    """
-    moves = [s for s in set(shifts) if s]
-    seen = bytearray(1 << k)
-    components = 0
-    for q0 in range(1 << k):
-        if seen[q0]:
-            continue
-        components += 1
-        seen[q0] = 1
-        stack = [q0]
-        while stack:
-            q = stack.pop()
-            for s in moves:
-                t = q ^ s
-                if not seen[t]:
-                    seen[t] = 1
-                    stack.append(t)
-    return components
 
 
 def orient(

@@ -17,19 +17,25 @@ surface; the checks here do not assume that and verify everything from
 the built complex.
 
 The closed-surface and orientation checks hand the squares to ``glue``
-as boundary words: edge Cell(1 << b, signs) has id ``b << m | signs``
-and vertex Cell(0, signs) is the integer ``signs``. A 2-cell with free
-coordinates i < j is oriented by the ordered frame (x_i, x_j). Only the
-consistency of induced boundary directions is ever asserted, so the
-convention itself is not load-bearing.
+as boundary words, built once per complex: edge Cell(1 << b, signs) has
+id ``b << m | signs``. A 2-cell with free coordinates i < j is oriented
+by the ordered frame (x_i, x_j). Only the consistency of induced
+boundary directions is ever asserted, so the convention itself is not
+load-bearing.
+
+The sign flips map cells to cells and move vertex 0 to every vertex, so
+every vertex link is a copy of the one at vertex 0 (the 1-skeleton of
+K), and the vertex components are the cosets of the span of the edge
+directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from . import glue
+from . import gf2, glue
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .scomplex import SimplicialComplex
 
@@ -60,6 +66,7 @@ class CubicalSurface:
 
     ``cells(d)`` lists cells of dimension d in increasing (free, signs)
     order, which fixes every traversal order in the package.
+    ``gluing`` is computed on first access and then kept.
     """
 
     def __init__(self, m: int, cells_by_dim: dict[int, list[Cell]]):
@@ -101,6 +108,17 @@ class CubicalSurface:
             out.append(Cell(free ^ b, signs | b))
         return tuple(out)
 
+    @cached_property
+    def gluing(self) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:
+        """Boundary word of every square, in ``cells(2)`` order, and the
+        (square index, direction) uses of every edge id."""
+        m = self.m
+        words = [
+            tuple((_edge_id(m, e), _edge_direction(sq, e)) for e in self.boundary(sq))
+            for sq in self.cells(2)
+        ]
+        return words, glue.edge_uses(words, m << m)
+
 
 def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
     """Materialize every cell of the complex over K.
@@ -120,8 +138,6 @@ def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
         bucket = cells_by_dim.setdefault(d, [])
         for signs in _subsets_ascending(full & ~face):
             bucket.append(Cell(face, signs))
-    for bucket in cells_by_dim.values():
-        bucket.sort()
     return CubicalSurface(K.m, cells_by_dim)
 
 
@@ -166,36 +182,19 @@ def _edge_id(m: int, edge: Cell) -> int:
     return (edge.free.bit_length() - 1) << m | edge.signs
 
 
-def _square_words(C: CubicalSurface) -> list[glue.Word]:
-    """Boundary word of every square, in ``cells(2)`` order, for ``glue``."""
-    return [
-        tuple((_edge_id(C.m, e), _edge_direction(sq, e)) for e in C.boundary(sq))
-        for sq in C.cells(2)
-    ]
-
-
 def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
     """Whether the arcs, each a two-bit mask, form one cycle through all
     the nodes, each a single bit."""
-    if not nodes:
+    ends = sorted(b for arc in arcs for b in (arc & -arc, arc & (arc - 1)))
+    if not nodes or ends != sorted(nodes * 2):
         return False
-    nbrs: dict[int, list[int]] = {b: [] for b in nodes}
-    for arc in arcs:
-        i = arc & -arc
-        j = arc ^ i
-        if i not in nbrs or j not in nbrs:
-            return False
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    if any(len(ends) != 2 for ends in nbrs.values()):
-        return False
-    start = nodes[0]
-    prev, cur, length = start, nbrs[start][0], 1
-    while cur != start:
-        a, b = nbrs[cur]
-        prev, cur = cur, (b if a == prev else a)
-        length += 1
-    return length == len(nodes)
+    # every node has degree 2, so the arcs form disjoint cycles: one must reach all
+    reached = nodes[0]
+    for _ in nodes:
+        for arc in arcs:
+            if arc & reached:
+                reached |= arc
+    return reached == sum(nodes)
 
 
 def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
@@ -212,23 +211,20 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
         )
     m = C.m
     edges = C.cells(1)
-    uses = glue.edge_uses(_square_words(C), m << m)
+    _, uses = C.gluing
     edges_ok = all(len(uses[_edge_id(m, e)]) == 2 for e in edges)
 
-    # Link of vertex v: one node per edge at v, named by the edge's free
-    # bit, and one arc per square at v, joining the square's two free bits.
-    link_nodes: list[list[int]] = [[] for _ in range(1 << m)]
-    for free, signs in edges:
-        link_nodes[signs].append(free)
-        link_nodes[signs | free].append(free)
-    link_arcs: list[list[int]] = [[] for _ in range(1 << m)]
-    for free, signs in C.cells(2):
-        for corner in _subsets_ascending(free):
-            link_arcs[signs | corner].append(free)
-    links_ok = all(map(_link_is_single_cycle, link_nodes, link_arcs))
+    # The sign flips act transitively on the vertices by cell maps, so the
+    # link at vertex 0 stands for all: a node per edge Cell(free, 0), named
+    # by its free bit, and an arc per square Cell(free, 0).
+    links_ok = _link_is_single_cycle(
+        [e.free for e in edges if not e.signs],
+        [sq.free for sq in C.cells(2) if not sq.signs],
+    )
 
-    # an edge joins the vertices whose signs differ in its free bit
-    connected = glue.xor_components(m, (e.free for e in edges)) == 1
+    # an edge joins the vertices whose signs differ in its free bit, so the
+    # components are the cosets of the span of the distinct free bits
+    connected = gf2.rank({e.free for e in edges}) == m
     return SurfaceReport(edges_ok, links_ok, connected)
 
 
@@ -253,8 +249,7 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[Cell, int] | None]:
     report = verify_closed_surface(C)
     if not report.closed_surface:
         raise NotASurfaceError(f"orientability needs a closed surface, got {report}")
-    words = _square_words(C)
-    signs = glue.orient(words, glue.edge_uses(words, C.m << C.m))
+    signs = glue.orient(*C.gluing)
     if signs is None:
         return False, None
     return True, dict(zip(C.cells(2), signs))

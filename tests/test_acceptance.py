@@ -139,6 +139,22 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
     verdict("orientation sign is (-1)^|support| for every element, m <= 7", failures)
 
 
+def face_components(cover):
+    """Components of the glued polygons, joining faces that share an edge id."""
+    parent = list(range(cover.face_count))
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    first_face = {}
+    for f, word in enumerate(cover.face_boundaries):
+        for eid, _ in word:
+            parent[root(f)] = root(first_face.setdefault(eid, f))
+    return sum(parent[f] == f for f in range(len(parent)))
+
+
 def test_criterion_06_cover_laws_hold_for_every_matrix():
     failures = []
     bases = [
@@ -161,6 +177,8 @@ def test_criterion_06_cover_laws_hold_for_every_matrix():
                     failures.append(f"{B}: chi not multiplicative at {rows}")
                 if cc.components != 1 << (n - gf2.rank(rows)):
                     failures.append(f"{B}: component count wrong at {rows}")
+                if cc.components != face_components(cc):
+                    failures.append(f"{B}: components disagree with the glued faces at {rows}")
                 if cc.orientable != orientable_by_character(B, rows):
                     failures.append(f"{B}: orientability mismatch at {rows}")
     elapsed = time.perf_counter() - t0

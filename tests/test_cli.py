@@ -230,6 +230,18 @@ def test_cover_rank_cap_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_cover_generator_cap_exits_3_before_building_the_word(capsys, tmp_path):
+    # 60M generators: the 120M-letter base word would exhaust memory
+    phi = tmp_path / "phi.txt"
+    phi.write_text("")
+    code, out, err = run(
+        capsys, "cover", "--orientable", "true", "--genus", "30000000", "--phi", str(phi)
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "generator cap" in err
+
+
 def test_figure_stdout_and_file_agree(capsys, tmp_path):
     code, out, _ = run(capsys, "figure", "--gmax", "9")
     assert code == 0

@@ -15,6 +15,7 @@ import pytest
 
 from involab import gf2
 from involab.cover import (
+    MAX_GENERATORS,
     CoverComplex,
     SurfacePresentation,
     build_cover,
@@ -29,6 +30,23 @@ GENUS2 = presentation(True, 2)
 RP2 = presentation(False, 1)
 KLEIN = presentation(False, 2)
 N3 = presentation(False, 3)
+
+
+def face_components(cover):
+    """Components of the glued polygons, joining faces that share an edge id;
+    independent of the cover's own count."""
+    parent = list(range(cover.face_count))
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    first_face = {}
+    for f, word in enumerate(cover.face_boundaries):
+        for eid, _ in word:
+            parent[root(f)] = root(first_face.setdefault(eid, f))
+    return sum(parent[f] == f for f in range(len(parent)))
 
 
 def test_presentation_words():
@@ -142,6 +160,7 @@ def test_cover_laws_exhaustively(B):
             cover = build_cover(B, rows)
             assert cover.chi == cover.sheets * B.euler_characteristic
             assert cover.components == 1 << (n - gf2.rank(rows))
+            assert cover.components == face_components(cover)
             assert cover.orientable == gf2.in_span(w, rows)
             if cover.components == 1 and cover.orientable:
                 assert cover.chi == 2 - 2 * cover.genus
@@ -173,6 +192,14 @@ def test_prop2_tower_of_n3():
         cover = build_cover(N3, rows)
         assert cover.components == 1
         assert cover.chi == -(1 << n)
+
+
+def test_generator_cap():
+    assert presentation(False, MAX_GENERATORS).generator_count == MAX_GENERATORS
+    with pytest.raises(CapError):
+        presentation(False, MAX_GENERATORS + 1)
+    with pytest.raises(CapError):
+        presentation(True, MAX_GENERATORS // 2 + 1)
 
 
 def test_phi_row_must_fit_generators():

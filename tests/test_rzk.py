@@ -4,10 +4,12 @@ The connectivity and incidence oracles here recount everything from raw
 cells so that the report flags are never checked against themselves.
 """
 
+import random
 from collections import Counter, deque
 
 import pytest
 
+from involab import glue
 from involab.errors import CapError, NotASurfaceError, ValidationError
 from involab.rzk import (
     Cell,
@@ -55,6 +57,13 @@ def test_polygon_cell_counts(m, v, e, f):
     assert (C.vertex_count, C.edge_count, C.square_count) == (v, e, f)
     # closed forms: V = 2^m, F = m 2^(m-2), E = 2F
     assert v == 2**m and f == m * 2 ** (m - 2) and e == 2 * f
+    # relabelled polygon: same counts, and cells(d) still comes out sorted
+    labels = list(range(1, m + 1))
+    random.Random(m).shuffle(labels)
+    shuffled = build(from_facets(m, [[labels[i - 1], labels[i]] for i in range(m)]))
+    assert (shuffled.vertex_count, shuffled.edge_count, shuffled.square_count) == (v, e, f)
+    for d in range(3):
+        assert list(shuffled.cells(d)) == sorted(shuffled.cells(d))
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -213,6 +222,21 @@ def test_surface_report_shape():
         "orientable": True,
         "genus": 1,
     }
+
+
+def test_surface_report_builds_the_square_words_once(monkeypatch):
+    calls = []
+    edge_uses = glue.edge_uses
+
+    def counting(*args):
+        calls.append(args)
+        return edge_uses(*args)
+
+    monkeypatch.setattr(glue, "edge_uses", counting)
+    C = build(polygon_boundary(6))
+    assert calls == []  # build alone does no gluing work
+    assert surface_report(C)["genus"] == 17
+    assert len(calls) == 1  # shared by both verifications and the orientation
 
 
 def test_surface_report_non_surface():
