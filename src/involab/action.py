@@ -52,11 +52,6 @@ class SignElement:
     def from_vertices(vertices: Iterable[int], m: int) -> "SignElement":
         return SignElement(mask_of(vertices, m))
 
-    @staticmethod
-    def flip(i: int, m: int) -> "SignElement":
-        """The generator flipping the single coordinate i."""
-        return SignElement(mask_of([i], m))
-
 
 IDENTITY = SignElement(0)
 

@@ -32,10 +32,11 @@ import mpmath
 
 from . import gf2
 from .cover import build_cover, presentation
-from .errors import CrossCheckError, ValidationError
+from .errors import CapError, CrossCheckError, ValidationError
 
 DEFAULT_MAX_QUOTIENT_RANK = 16  # resolver cap on 2 - a
 DEFAULT_MAX_SHEETS = 1 << 16  # resolver cap on deck-group size
+MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.3 ms
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,8 @@ def figure1_data(
     """Rows g = 0..gmax of the bounds/exact/envelope table."""
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
+    if gmax > MAX_FIGURE_G:
+        raise CapError(f"gmax={gmax} exceeds the figure cap {MAX_FIGURE_G}")
     return [_figure_row(g, max_quotient_rank, max_sheets) for g in range(gmax + 1)]
 
 

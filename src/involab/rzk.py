@@ -12,12 +12,13 @@ b+1 equals -1. Sign bits on free coordinates are zero by convention, so
 cells compare and hash as plain tuples. The dimension of a cell is the
 popcount of ``free``.
 
-When K is the boundary of an m-gon the result is a closed orientable
-surface; the checks here do not assume that and verify everything from
-the built complex.
+There are 2^(m-|I|) cells with free set I, so every count is a closed
+form in K's faces. When K is the boundary of an m-gon the result is a
+closed orientable surface; the checks here do not assume that and verify
+the gluing of the squares itself.
 
 The closed-surface and orientation checks hand the squares to ``glue``
-as boundary words, built once per complex: edge Cell(1 << b, signs) has
+as boundary words, written once per complex: edge Cell(1 << b, signs) has
 id ``b << m | signs``. A 2-cell with free coordinates i < j is oriented
 by the ordered frame (x_i, x_j). Only the consistency of induced
 boundary directions is ever asserted, so the convention itself is not
@@ -62,83 +63,91 @@ def _subsets_ascending(mask: int) -> Iterator[int]:
 
 
 class CubicalSurface:
-    """The built cell complex. Immutable after construction; queries are read-only.
+    """The cubical complex over K, indexed by K's faces rather than stored.
 
-    ``cells(d)`` lists cells of dimension d in increasing (free, signs)
-    order, which fixes every traversal order in the package.
-    ``gluing`` is computed on first access and then kept.
+    Its d-cells are the pairs (face I of K with d vertices, signs on the
+    coordinates outside I), so every count is a closed form in K's faces
+    and ``build`` enumerates nothing. ``cells(d)`` lists the d-cells in
+    increasing (free, signs) order, which fixes every traversal order in
+    the package; it and ``gluing`` are computed on first access and kept.
     """
 
-    def __init__(self, m: int, cells_by_dim: dict[int, list[Cell]]):
-        self.m = m
-        self._cells = {d: tuple(cs) for d, cs in sorted(cells_by_dim.items())}
+    def __init__(self, K: SimplicialComplex):
+        self.K = K
+        self.m = K.m
+        self._faces: dict[int, list[int]] = {}
+        for face in K.faces_sorted():
+            self._faces.setdefault(face.bit_count(), []).append(face)
+        self._cells: dict[int, tuple[Cell, ...]] = {}
 
     @property
     def dim(self) -> int:
-        return max(self._cells) if self._cells else -1
+        return max(self._faces)
+
+    def faces(self, d: int) -> list[int]:
+        """The faces of K with d vertices, ascending: the free sets of the d-cells."""
+        return self._faces.get(d, [])
 
     def cells(self, d: int) -> tuple[Cell, ...]:
-        return self._cells.get(d, ())
+        if d not in self._cells:
+            full = (1 << self.m) - 1
+            self._cells[d] = tuple(
+                Cell(f, s) for f in self.faces(d) for s in _subsets_ascending(full & ~f)
+            )
+        return self._cells[d]
+
+    def _count(self, d: int) -> int:
+        # 2^(m-d) cells per face; no face, no shift, so d > m gives 0
+        return sum(1 << (self.m - d) for _ in self.faces(d))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.cells(0))
+        return self._count(0)
 
     @property
     def edge_count(self) -> int:
-        return len(self.cells(1))
+        return self._count(1)
 
     @property
     def square_count(self) -> int:
-        return len(self.cells(2))
+        return self._count(2)
 
     @property
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(cs) for d, cs in self._cells.items())
-
-    def boundary(self, cell: Cell) -> tuple[Cell, ...]:
-        """Codimension-1 faces: per free coordinate, the +1 then the -1 side."""
-        out = []
-        free, signs = cell
-        rest = free
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            out.append(Cell(free ^ b, signs))
-            out.append(Cell(free ^ b, signs | b))
-        return tuple(out)
+        return euler_characteristic(self.K)
 
     @cached_property
     def gluing(self) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:
         """Boundary word of every square, in ``cells(2)`` order, and the
-        (square index, direction) uses of every edge id."""
+        (square index, direction) uses of every edge id.
+
+        Square Cell(I | J, s) with I = 1 << i below J = 1 << j, traversed
+        counterclockwise in its (x_i, x_j) frame, crosses Cell(J, s) forward,
+        Cell(J, s | I) back, Cell(I, s) back and Cell(I, s | J) forward.
+        """
         m = self.m
-        words = [
-            tuple((_edge_id(m, e), _edge_direction(sq, e)) for e in self.boundary(sq))
-            for sq in self.cells(2)
-        ]
+        words = []
+        for face in self.faces(2):
+            I = face & -face
+            J = face ^ I
+            i, j = (I.bit_length() - 1) << m, (J.bit_length() - 1) << m
+            words += [((j | s, 1), (j | s | I, -1), (i | s, -1), (i | s | J, 1))
+                      for s in _subsets_ascending(((1 << m) - 1) & ~face)]
         return words, glue.edge_uses(words, m << m)
 
 
 def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
-    """Materialize every cell of the complex over K.
+    """The cubical complex over K; no cell is enumerated here.
 
     Refuses m > cap: the cell count is sum over faces I of 2^(m - |I|),
-    which is 2^m for the vertices alone.
+    which is 2^m for the vertices alone, and the checks glue every square.
     """
     if K.m > cap:
         raise CapError(
             f"m={K.m} exceeds the build cap {cap}; "
             f"raise the cap explicitly if you really want 2^{K.m} vertices"
         )
-    full = (1 << K.m) - 1
-    cells_by_dim: dict[int, list[Cell]] = {}
-    for face in K.faces_sorted():
-        d = face.bit_count()
-        bucket = cells_by_dim.setdefault(d, [])
-        for signs in _subsets_ascending(full & ~face):
-            bucket.append(Cell(face, signs))
-    return CubicalSurface(K.m, cells_by_dim)
+    return CubicalSurface(K)
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -177,11 +186,6 @@ class SurfaceReport:
         )
 
 
-def _edge_id(m: int, edge: Cell) -> int:
-    """Index of the edge's free coordinate, then its sign bits: ``b << m | signs``."""
-    return (edge.free.bit_length() - 1) << m | edge.signs
-
-
 def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
     """Whether the arcs, each a two-bit mask, form one cycle through all
     the nodes, each a single bit."""
@@ -198,7 +202,7 @@ def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
 
 
 def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
-    """Check the three closed-surface conditions on the built complex.
+    """Check the three closed-surface conditions on the glued squares and K.
 
     Every edge must bound exactly two squares, the link of every vertex
     must be one cycle, and the complex must be connected; all three hold
@@ -206,36 +210,21 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     dimension 2 are rejected.
     """
     if C.dim > 2:
-        raise ValidationError(
-            f"closed-surface checks support dimension <= 2, got {C.dim}"
-        )
-    m = C.m
-    edges = C.cells(1)
+        raise ValidationError(f"closed-surface checks support dimension <= 2, got {C.dim}")
+    # words name only real edges, so E ids used twice means all are; this
+    # also pits the closed-form edge count against the glued squares
     _, uses = C.gluing
-    edges_ok = all(len(uses[_edge_id(m, e)]) == 2 for e in edges)
+    edges_ok = sum(len(u) == 2 for u in uses) == C.edge_count
 
     # The sign flips act transitively on the vertices by cell maps, so the
-    # link at vertex 0 stands for all: a node per edge Cell(free, 0), named
-    # by its free bit, and an arc per square Cell(free, 0).
-    links_ok = _link_is_single_cycle(
-        [e.free for e in edges if not e.signs],
-        [sq.free for sq in C.cells(2) if not sq.signs],
-    )
+    # link at vertex 0 stands for all: a node per edge Cell(v, 0), named by
+    # its free bit, and an arc per square Cell(e, 0); that is K's 1-skeleton.
+    links_ok = _link_is_single_cycle(C.faces(1), C.faces(2))
 
     # an edge joins the vertices whose signs differ in its free bit, so the
-    # components are the cosets of the span of the distinct free bits
-    connected = gf2.rank({e.free for e in edges}) == m
+    # components are the cosets of the span of the vertices of K
+    connected = gf2.rank(C.faces(1)) == C.m
     return SurfaceReport(edges_ok, links_ok, connected)
-
-
-def _edge_direction(square: Cell, edge: Cell) -> int:
-    """Direction (+1 along the free axis) induced on a boundary edge by the
-    counterclockwise traversal of the square in its (x_i, x_j) frame, i < j."""
-    i_bit = square.free & -square.free
-    j_bit = square.free ^ i_bit
-    if edge.free == i_bit:  # bottom or top: sign of x_j decides
-        return 1 if (edge.signs & j_bit) else -1
-    return -1 if (edge.signs & i_bit) else 1  # left or right: sign of x_i
 
 
 def orientability(C: CubicalSurface) -> tuple[bool, dict[Cell, int] | None]:
@@ -258,7 +247,7 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[Cell, int] | None]:
 def genus(C: CubicalSurface) -> tuple[bool, int]:
     """(orientable, genus) of a verified closed surface.
 
-    chi = V - E + F from the actual cell counts; genus is (2 - chi)/2 in
+    chi = V - E + F from the closed-form cell counts; genus is (2 - chi)/2 in
     the orientable case and 2 - chi otherwise.
     """
     orientable, _ = orientability(C)  # raises NotASurfaceError if not closed
@@ -280,10 +269,7 @@ def surface_report(C: CubicalSurface) -> dict:
         "F": C.square_count,
         "chi": chi,
     }
-    if C.dim > 2:
-        return {**base, "closed_surface": False, "orientable": None, "genus": None}
-    report = verify_closed_surface(C)
-    if not report.closed_surface:
+    if C.dim > 2 or not verify_closed_surface(C).closed_surface:
         return {**base, "closed_surface": False, "orientable": None, "genus": None}
     orientable, g = genus(C)
     return {**base, "closed_surface": True, "orientable": orientable, "genus": g}

@@ -242,6 +242,14 @@ def test_cover_generator_cap_exits_3_before_building_the_word(capsys, tmp_path):
     assert "generator cap" in err
 
 
+def test_figure_gmax_cap_exits_3_before_any_row(capsys):
+    # 10^10 rows would run for days; the cap refuses before the first one
+    code, out, err = run(capsys, "figure", "--gmax", "10000000000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "figure cap" in err
+
+
 def test_figure_stdout_and_file_agree(capsys, tmp_path):
     code, out, _ = run(capsys, "figure", "--gmax", "9")
     assert code == 0

@@ -11,9 +11,11 @@ at exactly the predicted genus.
 import mpmath
 import pytest
 
+from involab import fgenus
 from involab.action import max_free_rank
-from involab.errors import ValidationError
+from involab.errors import CapError, ValidationError
 from involab.fgenus import (
+    MAX_FIGURE_G,
     H,
     decompose,
     equality_genera,
@@ -216,6 +218,18 @@ def test_figure_rows():
     assert (r9.f_lower, r9.f_upper, r9.f_exact, r9.equality) == (3, 3, 3, False)
     assert rows[5].equality and rows[5].f_exact == 3
     assert rows[0].equality and rows[0].f_exact == 1
+
+
+def test_figure_cap_refuses_before_any_row(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(fgenus, "_figure_row", no_row)
+    for gmax in (MAX_FIGURE_G + 1, 10**10):
+        with pytest.raises(CapError, match="figure cap"):
+            figure1_data(gmax)
+    with pytest.raises(AssertionError):
+        figure1_data(MAX_FIGURE_G)  # at the cap, rows are computed
 
 
 def test_figure_csv_frozen():

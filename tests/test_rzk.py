@@ -13,6 +13,7 @@ from involab import glue
 from involab.errors import CapError, NotASurfaceError, ValidationError
 from involab.rzk import (
     Cell,
+    CubicalSurface,
     build,
     euler_characteristic,
     genus,
@@ -22,6 +23,8 @@ from involab.rzk import (
     verify_closed_surface,
 )
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
+
+from test_rzk_oracle import _edge_direction, boundary
 
 
 def component_count(C):
@@ -94,8 +97,8 @@ def test_boundary_of_boundary_cancels():
     C = build(polygon_boundary(5))
     for sq in C.cells(2):
         edge_corners = Counter()
-        for e in C.boundary(sq):
-            for v in C.boundary(e):
+        for e in boundary(sq):
+            for v in boundary(e):
                 edge_corners[v] += 1
         # each corner of the square is hit by exactly two of its edges
         assert all(count == 2 for count in edge_corners.values())
@@ -171,11 +174,9 @@ def test_orientable_with_consistent_assignment(m):
     assert set(orient.values()) <= {1, -1}
     assert len(orient) == C.square_count
     # re-verify consistency directly: shared edges get opposite directions
-    from involab.rzk import _edge_direction
-
     edge_squares = {e: [] for e in C.cells(1)}
     for sq in C.cells(2):
-        for e in C.boundary(sq):
+        for e in boundary(sq):
             edge_squares[e].append(sq)
     for e, sqs in edge_squares.items():
         s1, s2 = sqs
@@ -237,6 +238,20 @@ def test_surface_report_builds_the_square_words_once(monkeypatch):
     assert calls == []  # build alone does no gluing work
     assert surface_report(C)["genus"] == 17
     assert len(calls) == 1  # shared by both verifications and the orientation
+
+
+def test_surface_report_enumerates_no_cell(monkeypatch):
+    def refuse(self, d):
+        raise AssertionError(f"cells({d}) enumerated")
+
+    monkeypatch.setattr(CubicalSurface, "cells", refuse)
+    m = 20  # the default cap: 2^20 vertices, none of them listed
+    K = from_facets(m, [(i, i % m + 1) for i in range(1, m + 1)] + [(1, 2, 3)])
+    rep = surface_report(build(K))
+    V, E, F, T = 2**m, m * 2 ** (m - 1), (m + 1) * 2 ** (m - 2), 2 ** (m - 3)
+    assert (rep["V"], rep["E"], rep["F"]) == (V, E, F)
+    assert rep["chi"] == V - E + F - T == euler_characteristic(K)
+    assert rep["closed_surface"] is False and rep["genus"] is None
 
 
 def test_surface_report_non_surface():

@@ -7,6 +7,11 @@ implementations that ``rzk`` used before it handed the squares to
 They are kept here, apart from the package, so that every report flag,
 every orientability verdict and the per-square assignment of the fast
 path are compared with them on seeded random complexes.
+
+``boundary`` and ``_edge_direction`` are the per-cell geometry that
+``rzk`` once derived the square words from; the arithmetic words of
+``CubicalSurface.gluing`` and its closed-form counts are compared with
+them and with the enumerated cells.
 """
 
 import random
@@ -16,7 +21,7 @@ import pytest
 
 from involab.errors import NotASurfaceError
 from involab.rzk import Cell, build, orientability, verify_closed_surface
-from involab.scomplex import from_facets
+from involab.scomplex import SimplicialComplex, from_facets
 
 
 def _subsets_ascending(mask):
@@ -28,7 +33,22 @@ def _subsets_ascending(mask):
         s = (s - mask) & mask
 
 
+def boundary(cell):
+    """Codimension-1 faces: per free coordinate, the +1 then the -1 side."""
+    out = []
+    free, signs = cell
+    rest = free
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        out.append(Cell(free ^ b, signs))
+        out.append(Cell(free ^ b, signs | b))
+    return tuple(out)
+
+
 def _edge_direction(square, edge):
+    """Direction (+1 along the free axis) induced on a boundary edge by the
+    counterclockwise traversal of the square in its (x_i, x_j) frame, i < j."""
     i_bit = square.free & -square.free
     j_bit = square.free ^ i_bit
     if edge.free == i_bit:
@@ -39,7 +59,7 @@ def _edge_direction(square, edge):
 def _edge_to_squares(C):
     table = {e: [] for e in C.cells(1)}
     for sq in C.cells(2):
-        for e in C.boundary(sq):
+        for e in boundary(sq):
             table[e].append(sq)
     return table
 
@@ -99,7 +119,7 @@ def oracle_verify(C):
         index = {e: k for k, e in enumerate(nodes)}
         arcs = []
         for sq in vertex_squares[v]:
-            through = [e for e in C.boundary(sq) if e in index]
+            through = [e for e in boundary(sq) if e in index]
             if len(through) != 2:
                 return False
             arcs.append((index[through[0]], index[through[1]]))
@@ -129,7 +149,7 @@ def oracle_orientability(C):
         queue = deque([start])
         while queue:
             sq = queue.popleft()
-            for e in C.boundary(sq):
+            for e in boundary(sq):
                 a, b = e2s[e]
                 other = b if a == sq else a
                 needed = (
@@ -141,6 +161,28 @@ def oracle_orientability(C):
                 elif orient[other] != needed:
                     return False, None
     return True, orient
+
+
+def _oracle_words(C):
+    """Square words from the enumerated cells: edge Cell(1 << b, signs) is
+    ``b << m | signs``, directions from ``_edge_direction``."""
+    m = C.m
+    return [
+        tuple(((e.free.bit_length() - 1) << m | e.signs, _edge_direction(sq, e))
+              for e in boundary(sq))
+        for sq in C.cells(2)
+    ]
+
+
+def _assert_indexed_surface_matches_cells(C):
+    counts = [len(C.cells(d)) for d in range(C.dim + 1)]
+    assert (C.vertex_count, C.edge_count, C.square_count) == tuple((counts + [0, 0])[:3])
+    assert C.euler_characteristic == sum((-1) ** d * n for d, n in enumerate(counts))
+    assert all(len(C.cells(d)) == 0 for d in range(C.dim + 1, C.dim + 4))
+    for d in range(C.dim + 1):
+        assert all(c.free.bit_count() == d for c in C.cells(d))
+        assert list(C.cells(d)) == sorted(set(C.cells(d)))
+    assert C.gluing[0] == _oracle_words(C)
 
 
 def _cycle(vertices):
@@ -177,6 +219,7 @@ def test_glued_checks_agree_with_the_cell_oracle(kind):
     for _ in range(40):
         m, facets = _random_complex(kind, rng)
         C = build(from_facets(m, facets))
+        _assert_indexed_surface_matches_cells(C)
         rep = verify_closed_surface(C)
         flags = (rep.edges_in_two_squares, rep.vertex_links_single_cycle, rep.connected)
         assert flags == oracle_verify(C), (m, facets)
@@ -194,3 +237,20 @@ def test_glued_checks_agree_with_the_cell_oracle(kind):
         assert closed_seen == 40
     elif kind != "graph":
         assert closed_seen == 0
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        SimplicialComplex(0),
+        SimplicialComplex(1),
+        from_facets(1, [[1]]),
+        *(from_facets(m, _cycle(list(range(1, m + 1))) + [(1, 2, 3)]) for m in (3, 4, 6)),
+        from_facets(5, [[2, 4, 5]] + _cycle([1, 3, 2, 5, 4])),
+    ],
+    ids=["m0", "m1-ghost", "m1-vertex", "tri-3", "tri-4", "tri-6", "tri-5-shuffled"],
+)
+def test_small_and_three_dimensional_complexes_match_the_cells(K):
+    C = build(K)
+    _assert_indexed_surface_matches_cells(C)
+    assert C.dim == max(f.bit_count() for f in K.faces)

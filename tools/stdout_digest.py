@@ -1,0 +1,74 @@
+"""Digest of what a source tree's CLI prints on the benchmark's workloads.
+
+    python tools/stdout_digest.py --src PATH/TO/TREE/src --seed N
+
+Generates the inputs of the four workloads for seed N with
+``bench/workloads.generate`` (the bench code of this checkout, read but
+never changed), runs every job once through that tree's
+``involab.cli.main`` (H jobs through its ``fgenus.H``), and prints one
+line per workload: its job count and the sha256 of every job's exit
+code, stdout and stderr, in job order. Running it on two trees with the
+same seed shows whether a change altered any output byte.
+
+Inputs are written under a temporary directory, and jobs name them by a
+relative path, so the digests do not depend on where that directory is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def run_job(job, cli, fgenus) -> tuple[object, str, str]:
+    """(exit code or exception, stdout, stderr) of one job."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if job.argv:
+                code = cli.main(list(job.argv))
+            else:
+                out.write(repr(fgenus.H(job.data["g"])) + "\n")
+                code = 0
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escape from the program is part of its output
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="the tree's src directory")
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+
+    sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
+    import workloads
+    from involab import cli, fgenus
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(args.src).resolve()):
+        raise SystemExit(f"involab was imported from {cli.__file__}, not {args.src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name in workloads.WORKLOADS:
+            workdir = Path(name)
+            workdir.mkdir()
+            jobs = workloads.generate(name, args.seed, workdir)
+            digest = hashlib.sha256()
+            for job in jobs:
+                digest.update(repr(run_job(job, cli, fgenus)).encode())
+            print(f"{name} jobs={len(jobs)} sha256={digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
