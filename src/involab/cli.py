@@ -124,8 +124,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.gmax < 0:
-        raise ValidationError(f"--gmax must be nonnegative, got {args.gmax}")
     # --threads is still accepted so that existing scripts keep working;
     # rows are always computed serially
     if args.threads < 1:

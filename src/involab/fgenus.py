@@ -21,11 +21,12 @@ inverting that over the reals gives the envelope
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
 in exact integers, never through floats; W itself is computed by Halley
-iteration in arbitrary-precision arithmetic.
+iteration in 40-digit arithmetic from a float64 start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -166,7 +167,42 @@ def equality_genera(
     return out
 
 
-_BRANCH_SERIES_CUT = -0.27  # use the branch-point series guess below this
+with mpmath.workdps(40):  # lambert_w's working precision
+    _LN2 = mpmath.log(2)
+    _BRANCH = -mpmath.exp(-1)  # W's branch point, W(-1/e) = -1
+    _BRANCH_SLACK = mpmath.mpf("1e-15")  # float(-1/e) lies 1.2e-17 below it
+_BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
+_MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
+_SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
+
+
+def _float_seed(x: float) -> float:
+    """W(x) to about one ulp in float64, the start of lambert_w.
+
+    Starts from the branch-point series -1 + p - p^2/3 + 11 p^3/72 with
+    p = sqrt(2(e x + 1)) below -0.27, from ln(1+x) up to 3, and from
+    L1 - L2 + L2/L1 with L1 = ln x, L2 = ln L1 above (Corless et al.,
+    "On the Lambert W function", 1996), then takes Halley steps in
+    floats until a step no longer moves W by more than an ulp.
+    """
+    if x < _BRANCH_SERIES_CUT:
+        p = math.sqrt(2 * (math.e * x + 1))
+        w = -1 + p - p * p / 3 + 11 * p**3 / 72
+    elif x < 3:
+        w = math.log1p(x)
+    else:
+        l1 = math.log(x)
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(_SEED_STEPS):
+        ew = math.exp(w)
+        f = w * ew - x
+        wp1 = w + 1
+        step = f / (ew * wp1 - (w + 2) * f / (2 * wp1))
+        w -= step
+        if abs(step) <= 2.3e-16 * abs(w):
+            break
+    return w
 
 
 def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
@@ -175,34 +211,38 @@ def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
     Works in 40-digit arithmetic and returns an mpf, so the defining
     residual w*e^w - x is driven far below float precision even for
     large x (a float64 result could not hold |residual| <= 1e-12 once
-    x is big, its own ulp gets in the way). Initial guess is ln(1+x)
-    for x >= -0.27 and the series -1 + p - p^2/3 + 11 p^3/72 with
-    p = sqrt(2(e x + 1)) near the branch point. Raises below -1/e.
+    x is big, its own ulp gets in the way). It starts from W to about
+    one ulp in float64 (``_float_seed``), and Halley triples the correct
+    digits, so one 40-digit step suffices; that step is always taken,
+    since a float-accurate start would pass the residual test unrefined
+    at small x. Where p = sqrt(2(e x + 1)) < 0.01 floats cannot resolve
+    W + 1, so the start is the branch series to p^5 at 40 digits; there
+    40 digits pin W only to about 1e-41 / (1 + W). Raises below -1/e.
     """
     with mpmath.workdps(40):
         xm = mpmath.mpf(x)
-        branch = -mpmath.exp(-1)
-        if xm < branch:
-            if branch - xm < mpmath.mpf("1e-15"):
-                xm = branch  # rounding slack for callers handing us float(-1/e)
+        if xm < _BRANCH:
+            if _BRANCH - xm < _BRANCH_SLACK:
+                xm = _BRANCH  # rounding slack for callers handing us float(-1/e)
             else:
                 raise ValidationError(
-                    f"lambert_w needs x >= -1/e = {float(branch)!r}, got {x!r}"
+                    f"lambert_w needs x >= -1/e = {float(_BRANCH)!r}, got {x!r}"
                 )
-        if xm == branch:
+        if xm == _BRANCH:
             return mpmath.mpf(-1)
         if xm == 0:
             return mpmath.mpf(0)
-        if xm < _BRANCH_SERIES_CUT:
+        if xm < _MP_SERIES_CUT:
             p = mpmath.sqrt(2 * (mpmath.e * xm + 1))
             w = -1 + p - p**2 / 3 + 11 * p**3 / 72
+            w += -43 * p**4 / 540 + 769 * p**5 / 17280
         else:
-            w = mpmath.log(1 + xm)
+            w = mpmath.mpf(_float_seed(float(xm)))
         tol_m = mpmath.mpf(tol)
-        for _ in range(max_steps):
+        for step in range(max_steps):
             ew = mpmath.exp(w)
             f = w * ew - xm
-            if abs(f) <= tol_m:
+            if step and abs(f) <= tol_m:
                 break
             wp1 = w + 1
             w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
@@ -234,9 +274,8 @@ def H(g, exact_detect: bool = True) -> float:
                     return float(n)
                 n += 1
     with mpmath.workdps(40):
-        ln2 = mpmath.log(2)
-        x = (mpmath.mpf(g) - 1) * ln2 / 2
-        return float(lambert_w(x) / ln2 + 2)
+        x = (mpmath.mpf(g) - 1) * _LN2 / 2
+        return float(lambert_w(x) / _LN2 + 2)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Largest free 2-torus rank as a function of genus, and its envelope.
 
 decompose is checked against a brute scan over all factorizations,
-lambert_w against mpmath's own implementation at 40 digits, and the
+lambert_w against mpmath's own implementation at 40 and 60 digits, H
+bit for bit against the float of mpmath's W at 80 digits, and the
 resolver's certificates against the covers they are built from. The
 equality genera are tied back to the cubical surfaces themselves at
 the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
 """
+
+import math
 
 import mpmath
 import pytest
@@ -184,6 +187,64 @@ def test_lambert_w_residual_where_floats_cannot_reach():
     with mpmath.workdps(40):
         w = lambert_w(1e6)
         assert abs(w * mpmath.exp(w) - mpmath.mpf(1e6)) <= 1e-12
+
+
+def test_lambert_w_at_the_seed_switch_points_and_the_branch():
+    """60-digit mpmath agreement where the start changes formula, at
+    -0.27, 3 and the switch to the 40-digit branch series, and next to
+    the branch point."""
+    cut = fgenus._MP_SERIES_CUT
+    xs = [-0.27, 3.0, -0.3665, cut]
+    xs += [math.nextafter(x, d) for x in (-0.27, 3.0, cut) for d in (-1, 1)]
+    with mpmath.workdps(60):
+        for x in xs:
+            w, ref = lambert_w(x), mpmath.lambertw(x).real
+            assert abs(w - ref) <= 1e-35 * abs(ref), x
+        # float(-1/e) lies 1.2e-17 below the branch point; it is taken as
+        # the branch point itself, where W = -1
+        assert mpmath.mpf(-1 / math.e) < -mpmath.exp(-1)
+        assert lambert_w(-1 / math.e) == -1
+        # dW/dx = 1/(e^W (1 + W)) blows up at the branch, so 40 digits
+        # bound the error only by about 1e-41 / (1 + W) there
+        x = -mpmath.exp(-1) + mpmath.mpf("1e-15")
+        w, ref = lambert_w(x), mpmath.lambertw(x).real
+        assert abs(w - ref) <= 1e-35 * abs(ref) + 1e-40 / abs(1 + ref)
+
+
+def test_lambert_w_takes_one_40_digit_step(monkeypatch):
+    """The float start leaves one Halley step to go: one exp for the
+    step and one for the residual test, at most, on every call."""
+    calls = []
+    exp = mpmath.exp
+
+    def counting_exp(w):
+        calls.append(w)
+        return exp(w)
+
+    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    for k in range(120):
+        x = 1e-3 * (3e28) ** (k / 119)  # log-spaced over [1e-3, 3e25]
+        calls.clear()
+        lambert_w(x)
+        assert len(calls) <= 2, (x, len(calls))
+
+
+def _H_reference(g) -> float:
+    with mpmath.workdps(80):
+        ln2 = mpmath.log(2)
+        w = mpmath.lambertw((mpmath.mpf(g) - 1) * ln2 / 2).real
+        return float(w / ln2 + 2)
+
+
+def test_H_is_the_correctly_rounded_envelope():
+    """H(g) equals the float of W/ln2 + 2 with W at 80 digits, bit for
+    bit, on every genus up to 3000 and on 200 log-spaced ones up to
+    1e26."""
+    genera = list(range(3001))
+    genera += [int(10 ** (26 * k / 199)) for k in range(200)]
+    for g in genera:
+        assert H(g) == _H_reference(g), g
+    assert H(2) == 2.3833323479810615
 
 
 def test_H_exact_integer_fast_path():
