@@ -11,9 +11,11 @@ fixed point on the complex iff its support is a face of K (the fixed set
 needs all supported coordinates at 0 simultaneously, which a block over
 the face I permits exactly when support is contained in I, and downward
 closure turns that into membership). A subgroup therefore acts freely
-iff no nonzero element of its span has a face as support. The tests keep
-an independent brute-force route, scanning built cells for a fixed one,
-so the criterion never has to be taken on faith.
+iff no nonzero element of its span has a face as support, that is iff
+no nonzero face of K lies in the span, which reducing each face by the
+echelon basis decides. The tests keep independent brute-force routes,
+scanning built cells for a fixed one and walking all 2^rank elements of
+the span, so the criterion never has to be taken on faith.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ class Subgroup:
     def rank(self) -> int:
         return len(self.basis)
 
-    def elements(self) -> list[SignElement]:
-        """All 2^rank elements, identity first."""
-        return [SignElement(v) for v in gf2.span([b.support for b in self.basis])]
-
     def basis_vertex_lists(self) -> list[list[int]]:
         return [list(b.vertices()) for b in self.basis]
 
@@ -100,15 +98,25 @@ class Subgroup:
         return Subgroup(gens, basis)
 
 
-def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
-    """True iff every nonidentity element of H moves every point.
+def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
+    """A nonzero face of K in the span of H, or 0 if there is none.
 
-    Checks all 2^rank - 1 nonzero spans against the face set.
+    Reduces each face by H's echelon basis: O(|K| rank), not 2^rank.
     """
-    for v in gf2.span([b.support for b in H.basis]):
-        if v and K.contains_mask(v):
-            return False
-    return True
+    for f in K.faces:
+        rest = f
+        for b in H.basis:
+            if (rest >> gf2.pivot(b.support)) & 1:
+                rest ^= b.support
+        if f and not rest:
+            return f
+    return 0
+
+
+def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
+    """True iff every nonidentity element of H moves every point, that is
+    iff no nonzero face of K lies in the span of H."""
+    return not _face_in_span(K, H)
 
 
 def lemma_generators(m: int) -> Subgroup:
@@ -133,28 +141,19 @@ def lemma_generators(m: int) -> Subgroup:
     )
 
 
-def orientation_sign(
-    C: CubicalSurface,
-    g: SignElement,
-    orientation: dict[Cell, int] | None = None,
-) -> int:
+def orientation_sign(C: CubicalSurface, g: SignElement) -> int:
     """+1 if g preserves the global orientation of C, -1 if it reverses it.
 
-    The element acts on a square with free pair {i, j} as a reflection in
-    each supported free coordinate, so it multiplies the reference frame
-    by (-1)^|support & free|; comparing the transported orientation of
-    one square with the assignment at its image decides the global sign.
-    A precomputed orientation assignment may be passed to skip the BFS.
+    g maps square Cell(I, s) to Cell(I, s ^ (support minus I)) and acts
+    on its frame as the reflection in each coordinate of support & I.
+    With square signs (-1)^popcount(s) sigma[I] (see ``orientability``)
+    the image's sign differs by (-1)^|support minus I| and the frame by
+    (-1)^|support & I|, so the sign is (-1)^|support| on every square.
     """
-    if orientation is None:
-        orientable, orientation = orientability(C)
-        if not orientable:
-            raise NotASurfaceError("orientation_sign needs an orientable surface")
-    assert orientation is not None
-    sq = C.cells(2)[0]
-    image = apply(g, sq)
-    local_det = -1 if (g.support & sq.free).bit_count() % 2 else 1
-    return orientation[sq] * orientation[image] * local_det
+    orientable, _ = orientability(C)
+    if not orientable:
+        raise NotASurfaceError("orientation_sign needs an orientable surface")
+    return -1 if g.support.bit_count() % 2 else 1
 
 
 def max_free_rank(
@@ -221,12 +220,7 @@ def max_free_rank(
 
 
 def cross_check_free(K: SimplicialComplex, H: Subgroup) -> None:
-    """Raise CrossCheckError if a nonzero face of K lies in the span of H,
-    reducing each face by H's echelon basis (is_free_subgroup walks 2^rank)."""
-    for f in K.faces:
-        rest = f
-        for b in H.basis:
-            if (rest >> gf2.pivot(b.support)) & 1:
-                rest ^= b.support
-        if f and not rest:
-            raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")
+    """Raise CrossCheckError if a nonzero face of K lies in the span of H."""
+    f = _face_in_span(K, H)
+    if f:
+        raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")

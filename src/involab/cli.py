@@ -57,7 +57,7 @@ def _load_complex(args: argparse.Namespace) -> scomplex.SimplicialComplex:
         return scomplex.polygon_boundary(args.m)
     try:
         return scomplex.read_complex(args.complex)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {args.complex}: {exc}")
 
 
@@ -115,7 +115,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     try:
         with open(args.phi, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {args.phi}: {exc}")
     phi = cover.parse_phi(text, base.generator_count)
     built = cover.build_cover(base, phi)

@@ -161,8 +161,8 @@ def equality_genera(
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
     out = []
     n = 1 if include_sphere else 2
-    while min_genus(n) <= gmax:
-        out.append((n, min_genus(n)))
+    while (g := min_genus(n)) <= gmax:
+        out.append((n, g))
         n += 1
     return out
 
@@ -268,11 +268,9 @@ def H(g, exact_detect: bool = True) -> float:
         elif isinstance(g, float) and g.is_integer():
             g_int = int(g)
         if g_int is not None:
-            n = 1
-            while min_genus(n) <= g_int:
-                if min_genus(n) == g_int:
-                    return float(n)
-                n += 1
+            n, g_n = equality_genera(g_int)[-1]  # g_int >= 0 = min_genus(1)
+            if g_n == g_int:
+                return float(n)
     with mpmath.workdps(40):
         x = (mpmath.mpf(g) - 1) * _LN2 / 2
         return float(lambert_w(x) / _LN2 + 2)

@@ -13,34 +13,25 @@ cells compare and hash as plain tuples. The dimension of a cell is the
 popcount of ``free``.
 
 There are 2^(m-|I|) cells with free set I, so every count is a closed
-form in K's faces. When K is the boundary of an m-gon the result is a
-closed orientable surface; the checks here do not assume that and verify
-the gluing of the squares itself.
-
-The closed-surface and orientation checks hand the squares to ``glue``
-as boundary words, written once per complex: edge Cell(1 << b, signs) has
-id ``b << m | signs``. A 2-cell with free coordinates i < j is oriented
-by the ordered frame (x_i, x_j). Only the consistency of induced
-boundary directions is ever asserted, so the convention itself is not
-load-bearing.
-
-The sign flips map cells to cells and move vertex 0 to every vertex, so
-every vertex link is a copy of the one at vertex 0 (the 1-skeleton of
-K), and the vertex components are the cosets of the span of the edge
-directions.
+form in K's faces. The sign flips act by cell maps, transitively on the
+cells of each face, so the closed-surface and orientation checks run on
+K itself and list no cell; a closed surface here is always the one over
+the m-gon, and ``genus`` checks its answer against ``polygon_genus``. A
+square with free coordinates i < j is oriented by the ordered frame
+(x_i, x_j); only the consistency of induced boundary directions is ever
+asserted, so the convention itself is not load-bearing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from . import gf2, glue
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .scomplex import SimplicialComplex
 
-DEFAULT_BUILD_CAP = 20  # build() refuses m above this; memory is Theta(sum 2^(m-|I|))
+DEFAULT_BUILD_CAP = 20  # build() refuses m above this; cells() holds sum 2^(m-|I|) cells
 
 
 class Cell(NamedTuple):
@@ -68,8 +59,8 @@ class CubicalSurface:
     Its d-cells are the pairs (face I of K with d vertices, signs on the
     coordinates outside I), so every count is a closed form in K's faces
     and ``build`` enumerates nothing. ``cells(d)`` lists the d-cells in
-    increasing (free, signs) order, which fixes every traversal order in
-    the package; it and ``gluing`` are computed on first access and kept.
+    increasing (free, signs) order, computed on first access and kept;
+    no report calls it.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -116,31 +107,12 @@ class CubicalSurface:
     def euler_characteristic(self) -> int:
         return euler_characteristic(self.K)
 
-    @cached_property
-    def gluing(self) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:
-        """Boundary word of every square, in ``cells(2)`` order, and the
-        (square index, direction) uses of every edge id.
-
-        Square Cell(I | J, s) with I = 1 << i below J = 1 << j, traversed
-        counterclockwise in its (x_i, x_j) frame, crosses Cell(J, s) forward,
-        Cell(J, s | I) back, Cell(I, s) back and Cell(I, s | J) forward.
-        """
-        m = self.m
-        words = []
-        for face in self.faces(2):
-            I = face & -face
-            J = face ^ I
-            i, j = (I.bit_length() - 1) << m, (J.bit_length() - 1) << m
-            words += [((j | s, 1), (j | s | I, -1), (i | s, -1), (i | s | J, 1))
-                      for s in _subsets_ascending(((1 << m) - 1) & ~face)]
-        return words, glue.edge_uses(words, m << m)
-
 
 def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
     """The cubical complex over K; no cell is enumerated here.
 
-    Refuses m > cap: the cell count is sum over faces I of 2^(m - |I|),
-    which is 2^m for the vertices alone, and the checks glue every square.
+    Refuses m > cap: ``cells()`` lists sum over faces I of 2^(m - |I|)
+    cells, 2^m for the vertices alone. The reports never list them.
     """
     if K.m > cap:
         raise CapError(
@@ -201,8 +173,18 @@ def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
     return reached == sum(nodes)
 
 
+def _edge_words(C: CubicalSurface) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:
+    """K's edges as words over its vertices, and the uses of every vertex id.
+
+    Edge {i < j} is ``((j, 1), (i, -1))``: the directions that square
+    Cell({i, j}, 0) induces on edges Cell(j, 0) and Cell(i, 0).
+    """
+    words = [((e.bit_length() - 1, 1), ((e & -e).bit_length() - 1, -1)) for e in C.faces(2)]
+    return words, glue.edge_uses(words, C.m)
+
+
 def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
-    """Check the three closed-surface conditions on the glued squares and K.
+    """Check the three closed-surface conditions on K.
 
     Every edge must bound exactly two squares, the link of every vertex
     must be one cycle, and the complex must be connected; all three hold
@@ -211,14 +193,13 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     """
     if C.dim > 2:
         raise ValidationError(f"closed-surface checks support dimension <= 2, got {C.dim}")
-    # words name only real edges, so E ids used twice means all are; this
-    # also pits the closed-form edge count against the glued squares
-    _, uses = C.gluing
-    edges_ok = sum(len(u) == 2 for u in uses) == C.edge_count
+    # edge Cell(b, t) bounds one square per neighbour of b, and only K's
+    # vertices are used, so all of them used twice means every edge in two
+    _, uses = _edge_words(C)
+    edges_ok = sum(len(u) == 2 for u in uses) == len(C.faces(1))
 
-    # The sign flips act transitively on the vertices by cell maps, so the
-    # link at vertex 0 stands for all: a node per edge Cell(v, 0), named by
-    # its free bit, and an arc per square Cell(e, 0); that is K's 1-skeleton.
+    # The link at vertex 0 stands for all: a node per edge Cell(v, 0), named
+    # by its free bit, and an arc per square Cell(e, 0); that is K's 1-skeleton.
     links_ok = _link_is_single_cycle(C.faces(1), C.faces(2))
 
     # an edge joins the vertices whose signs differ in its free bit, so the
@@ -227,36 +208,46 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     return SurfaceReport(edges_ok, links_ok, connected)
 
 
-def orientability(C: CubicalSurface) -> tuple[bool, dict[Cell, int] | None]:
-    """Propagate square orientations across shared edges.
+def orientability(C: CubicalSurface) -> tuple[bool, dict[int, int] | None]:
+    """Orient the squares so that every edge gets opposite directions.
 
-    Returns (True, assignment) with assignment[square] in {+1, -1} making
-    every shared edge receive opposite induced directions, or (False,
-    None) if a propagation cycle forces a sign reversal. Requires a
-    closed surface.
+    Returns (True, sigma), sigma mapping each 2-face I of K to the sign of
+    Cell(I, 0); square Cell(I, s) then has sign (-1)^popcount(s) sigma[I].
+    Returns (False, None) if no such signs exist. Requires a closed surface.
+
+    sigma is found by ``glue.orient`` on K's m edge words, which checks
+    the edges Cell(b, 0). That covers every edge: the two squares at
+    Cell(b, t) are the flips by t of the two at Cell(b, 0), and the flip
+    multiplies each square's sign (by the formula) and the direction it
+    induces on the edge alike, by (-1)^popcount(t).
     """
     report = verify_closed_surface(C)
     if not report.closed_surface:
         raise NotASurfaceError(f"orientability needs a closed surface, got {report}")
-    signs = glue.orient(*C.gluing)
+    signs = glue.orient(*_edge_words(C))
     if signs is None:
         return False, None
-    return True, dict(zip(C.cells(2), signs))
+    return True, dict(zip(C.faces(2), signs))
 
 
 def genus(C: CubicalSurface) -> tuple[bool, int]:
     """(orientable, genus) of a verified closed surface.
 
     chi = V - E + F from the closed-form cell counts; genus is (2 - chi)/2 in
-    the orientable case and 2 - chi otherwise.
+    the orientable case and 2 - chi otherwise. K is then the m-gon, so the
+    answer must also be (True, polygon_genus(m)).
     """
     orientable, _ = orientability(C)  # raises NotASurfaceError if not closed
     chi = C.euler_characteristic
-    if orientable:
-        if chi % 2:
-            raise CrossCheckError(f"orientable surface with odd chi={chi}")
-        return True, (2 - chi) // 2
-    return False, 2 - chi
+    if orientable and chi % 2:
+        raise CrossCheckError(f"orientable surface with odd chi={chi}")
+    g = (2 - chi) // 2 if orientable else 2 - chi
+    if (orientable, g) != (True, polygon_genus(C.m)):
+        raise CrossCheckError(
+            f"closed surface over m={C.m} classified as (orientable={orientable}, "
+            f"genus={g}); the m-gon gives (True, {polygon_genus(C.m)})"
+        )
+    return orientable, g
 
 
 def surface_report(C: CubicalSurface) -> dict:

@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import CapError, ValidationError
+
+MAX_VERTICES = 1024  # parse_complex and polygon_boundary refuse m above this
+MAX_FACES = 1 << 20  # the downward closure refuses facets with more faces in all
 
 
 def mask_of(vertices: Iterable[int], m: int) -> int:
@@ -32,7 +35,9 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _downward_closure(facets: Iterable[int]) -> frozenset[int]:
+def _downward_closure(facets: list[int]) -> frozenset[int]:
+    if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
+        raise CapError(f"the facets have more than the face cap of {MAX_FACES} faces")
     faces = {0}
     for f in facets:
         sub = f
@@ -57,9 +62,8 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         if self.m < 0:
             raise ValidationError("m must be nonnegative")
-        full = (1 << self.m) - 1
         for f in self.faces:
-            if f & ~full:
+            if f >> self.m:
                 raise ValidationError("face mask exceeds ambient vertex set")
         if 0 not in self.faces:
             raise ValidationError("the empty face must be present")
@@ -102,6 +106,8 @@ def polygon_boundary(m: int) -> SimplicialComplex:
     """
     if m < 3:
         raise ValidationError(f"a polygon needs at least 3 vertices, got m={m}")
+    if m > MAX_VERTICES:
+        raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
     edges = [(i, i % m + 1) for i in range(1, m + 1)]
     return from_facets(m, edges)
 
@@ -127,6 +133,8 @@ def parse_complex(text: str) -> SimplicialComplex:
         m = int(head[0])
     except ValueError:
         raise ValidationError(f"line {lineno}: m is not an integer") from None
+    if m > MAX_VERTICES:
+        raise CapError(f"line {lineno}: m={m} exceeds the vertex cap {MAX_VERTICES}")
     facets = []
     for lineno, tokens in data[1:]:
         try:

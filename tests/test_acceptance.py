@@ -31,6 +31,9 @@ from involab.fgenus import H, decompose, lambert_w, min_genus
 from involab.rzk import build, genus, orientability, verify_closed_surface
 from involab.scomplex import polygon_boundary
 
+from test_action_oracle import span_elements
+from test_rzk_oracle import square_signs
+
 
 def verdict(name: str, failures: list[str]) -> None:
     print(f"{'PASS' if not failures else 'FAIL'}: {name}")
@@ -75,13 +78,13 @@ def test_criterion_03_lemma_subgroup_is_free_and_survives_the_cell_oracle():
         Hm = lemma_generators(m)
         if Hm.rank != m - 2:
             failures.append(f"m={m}: rank {Hm.rank}")
-        if any(K.contains_mask(e.support) for e in Hm.elements() if e.support):
+        if any(K.contains_mask(e.support) for e in span_elements(Hm) if e.support):
             failures.append(f"m={m}: support criterion failed")
     for m in range(3, 7):
         K = polygon_boundary(m)
         C = build(K)
         cells = [c for d in range(3) for c in C.cells(d)]
-        elements = lemma_generators(m).elements()
+        elements = span_elements(lemma_generators(m))
         if len(elements) != 2 ** (m - 2):
             failures.append(f"m={m}: {len(elements)} elements")
         for g in elements:
@@ -126,7 +129,7 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
     failures = []
     for m in range(3, 8):
         C = build(polygon_boundary(m))
-        _, orient = orientability(C)
+        orient = square_signs(C, orientability(C)[1])
         for s in range(1 << m):
             g = SignElement(s)
             expected = -1 if s.bit_count() % 2 else 1
@@ -134,7 +137,7 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
                 orient[c] * orient[apply(g, c)] * (-1) ** (s & c.free).bit_count()
                 for c in C.cells(2)
             }
-            if signs != {expected} or orientation_sign(C, g, orient) != expected:
+            if signs != {expected} or orientation_sign(C, g) != expected:
                 failures.append(f"m={m}, support {g.vertices()}: sign {signs}")
     verdict("orientation sign is (-1)^|support| for every element, m <= 7", failures)
 

@@ -28,6 +28,9 @@ from involab.errors import CapError, CrossCheckError, NotASurfaceError, Validati
 from involab.rzk import Cell, build, orientability
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
+from test_action_oracle import span_elements
+from test_rzk_oracle import square_signs
+
 
 def fixes_some_cell(C, g):
     """Oracle: g fixes a cell (hence a point) iff support fits in its free set."""
@@ -122,7 +125,7 @@ def test_subgroup_rref_basis():
         for j, other in enumerate(H.basis):
             if i != j:
                 assert not (other.support >> gf2.pivot(b.support)) & 1
-    assert len({e.support for e in H.elements()}) == 16
+    assert len({e.support for e in span_elements(H)}) == 16
 
 
 def test_is_free_subgroup_examples():
@@ -166,7 +169,7 @@ def test_lemma_elements_fix_no_cell(m):
     K = polygon_boundary(m)
     C = build(K)
     H = lemma_generators(m)
-    elements = H.elements()
+    elements = span_elements(H)
     assert len(elements) == 2 ** (m - 2)
     for g in elements:
         if g.is_identity:
@@ -179,12 +182,13 @@ def test_lemma_elements_fix_no_cell(m):
 @pytest.mark.parametrize("m", range(3, 8))
 def test_orientation_parity(m):
     C = build(polygon_boundary(m))
-    ok, orient = orientability(C)
+    ok, sigma = orientability(C)
     assert ok
+    orient = square_signs(C, sigma)
     for s in range(1 << m):
         g = SignElement(s)
         expected = -1 if s.bit_count() % 2 else 1
-        assert orientation_sign(C, g, orient) == expected
+        assert orientation_sign(C, g) == expected
         # constancy across all 2-cells, not just the sampled one
         transported = {
             orient[c] * orient[apply(g, c)] * (-1) ** (s & c.free).bit_count()
@@ -248,7 +252,7 @@ def test_cross_check_free_rejects_a_face_in_the_span():
     H = Subgroup.from_generators(SignElement.from_vertices(s, 4) for s in ([1, 2], [1, 3, 4]))
     assert not any(K.contains_mask(b.support) for b in H.basis)
     assert not is_free_subgroup(K, H)
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match=r"fixes the face \(2, 3, 4\)"):
         cross_check_free(K, H)
 
 

@@ -1,4 +1,4 @@
-"""The free-rank search against the span-scanning search it replaced.
+"""The free-rank search and the freeness test against span walks.
 
 ``oracle_max_free_rank`` is the branch and bound that ``action`` used
 before it tested each candidate against a per-pivot set of refused
@@ -6,6 +6,11 @@ vectors: it keeps the whole span of the partial basis in a list and
 scans all of it for every candidate. It walks the same candidates in
 the same order, so the rank, the echelon basis and the generators of
 the fast search must all equal its own on every complex.
+
+``span_elements`` lists all 2^rank elements of a subgroup, and
+``oracle_is_free_subgroup`` checks each against the faces, as
+``is_free_subgroup`` did before it reduced the faces by the subgroup's
+echelon basis instead.
 """
 
 import random
@@ -13,8 +18,20 @@ import random
 import pytest
 
 from involab import gf2
-from involab.action import max_free_rank
+from involab.action import SignElement, Subgroup, is_free_subgroup, max_free_rank
 from involab.scomplex import SimplicialComplex, from_facets
+
+
+def span_elements(H):
+    """All 2^rank elements of H, identity first, by doubling over the basis."""
+    out = [0]
+    for b in H.basis:
+        out += [x ^ b.support for x in out]
+    return [SignElement(v) for v in out]
+
+
+def oracle_is_free_subgroup(K, H):
+    return not any(g.support and K.contains_mask(g.support) for g in span_elements(H))
 
 
 def oracle_max_free_rank(K):
@@ -108,3 +125,18 @@ def test_search_agrees_with_the_span_scan(kind):
         assert rank == want_rank, (kind, K)
         assert [g.support for g in witness.generators] == want_basis, (kind, K)
         assert [b.support for b in witness.basis] == gf2.rref(want_basis), (kind, K)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_freeness_agrees_with_the_span_walk(kind):
+    rng = random.Random(f"free-check-oracle-{kind}")
+    verdicts = set()
+    for _ in range(KINDS[kind]):
+        K = _random_complex(kind, rng)
+        gens = [rng.randrange(1, 1 << K.m) for _ in range(rng.randint(1, K.m))]
+        H = Subgroup.from_generators(SignElement(v) for v in gens)
+        verdict = is_free_subgroup(K, H)
+        assert verdict == oracle_is_free_subgroup(K, H), (kind, K, gens)
+        verdicts.add(verdict)
+    if kind not in ("empty", "simplex"):
+        assert verdicts == {True, False}  # both answers were exercised

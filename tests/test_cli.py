@@ -5,11 +5,18 @@ shell user would, including the 0/2/3/4 exit-code contract and the
 INVOLAB_CELL_CAP override.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from involab.cli import main
+from involab.cover import parse_phi
+from involab.errors import CapError, ValidationError
+from involab.scomplex import parse_complex
 
 PENTAGON_REPORT = {
     "m": 5,
@@ -121,6 +128,22 @@ def test_consecutive_calls_share_no_state(capsys):
         main(["figure", "--help"])
     capsys.readouterr()
     assert run(capsys, "free-rank", "--m", "6", "--witness")[1] == "4\n1 3\n2 4\n1 5\n2 6\n"
+
+
+@pytest.mark.parametrize("m", range(17, 21))
+def test_rzk_reports_the_large_polygons(capsys, m):
+    code, out, err = run(capsys, "rzk", "--m", str(m))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "m": m,
+        "V": 2**m,
+        "E": m * 2 ** (m - 1),
+        "F": m * 2 ** (m - 2),
+        "chi": 2 ** (m - 2) * (4 - m),
+        "closed_surface": True,
+        "orientable": True,
+        "genus": 1 + 2 ** (m - 3) * (m - 4),
+    }
 
 
 def test_rzk_cap_exits_3(capsys):
@@ -283,3 +306,76 @@ def test_figure_is_deterministic_across_threads(capsys):
     _, serial, _ = run(capsys, "figure", "--gmax", "25")
     _, threaded, _ = run(capsys, "figure", "--gmax", "25", "--threads", "4")
     assert serial == threaded
+
+
+# file contents for the parsers: token lines that are mostly near-valid,
+# arbitrary text, and arbitrary bytes (not always UTF-8)
+TOKENS = st.one_of(
+    st.integers(-2, 24).map(str),
+    st.integers().map(str),
+    st.sampled_from(["0", "1", "#", "# note", "x", "1.5", "0x3", "-", "1_0", "\u0663", "\t"]),
+)
+TEXTS = st.one_of(
+    st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+CONTENTS = st.one_of(TEXTS.map(str.encode), st.binary(max_size=40))
+
+
+def _run_on_file(argv, path, content):
+    """Exit code, stdout and stderr of main(argv) with ``content`` at ``path``."""
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expected_exit(parse, content):
+    """2 if the parser rejects the content, 3 if it hits a cap, else None."""
+    try:
+        parse(content.decode("utf-8"))
+    except (UnicodeDecodeError, ValidationError):
+        return 2
+    except CapError:
+        return 3
+    return None
+
+
+def _assert_one_error_line_or_success(code, out, err, want):
+    if want is None:
+        assert code in (0, 3)  # a parsed input may still exceed a cap
+    else:
+        assert code == want
+    if code:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+
+
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ
+@given(CONTENTS)
+def test_fuzzed_complex_files_exit_cleanly(tmp_path, content):
+    path = tmp_path / "k.txt"
+    code, out, err = _run_on_file(["rzk", "--complex", str(path)], path, content)
+    _assert_one_error_line_or_success(code, out, err, _expected_exit(parse_complex, content))
+
+
+@FUZZ
+@given(st.sampled_from([(False, 2), (True, 1), (False, 3)]), CONTENTS)
+def test_fuzzed_phi_files_exit_cleanly(tmp_path, base, content):
+    orientable, genus = base
+    d = 2 * genus if orientable else genus
+    path = tmp_path / "phi.txt"
+    argv = ["cover", "--orientable", str(orientable), "--genus", str(genus), "--phi", str(path)]
+    code, out, err = _run_on_file(argv, path, content)
+    want = _expected_exit(lambda text: parse_phi(text, d), content)
+    _assert_one_error_line_or_success(code, out, err, want)

@@ -10,7 +10,7 @@ from collections import Counter, deque
 import pytest
 
 from involab import glue
-from involab.errors import CapError, NotASurfaceError, ValidationError
+from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import (
     Cell,
     CubicalSurface,
@@ -24,7 +24,7 @@ from involab.rzk import (
 )
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
-from test_rzk_oracle import _edge_direction, boundary
+from test_rzk_oracle import _edge_direction, boundary, square_signs
 
 
 def component_count(C):
@@ -137,6 +137,14 @@ def test_two_disjoint_triangles_is_connected_but_pinched():
     assert not rep.closed_surface
 
 
+def test_a_vertex_of_degree_three_fails_edge_check():
+    # K_4: every edge of the surface lies in three squares
+    C = build(from_facets(4, [[a, b] for a in range(1, 5) for b in range(a + 1, 5)]))
+    rep = verify_closed_surface(C)
+    assert rep.connected
+    assert not rep.edges_in_two_squares and not rep.closed_surface
+
+
 def test_single_edge_fails_edge_check():
     C = build(from_facets(2, [[1, 2]]))
     rep = verify_closed_surface(C)
@@ -169,8 +177,9 @@ def test_verify_rejects_high_dimension():
 @pytest.mark.parametrize("m", range(3, 9))
 def test_orientable_with_consistent_assignment(m):
     C = build(polygon_boundary(m))
-    ok, orient = orientability(C)
-    assert ok and orient is not None
+    ok, sigma = orientability(C)
+    assert ok and sorted(sigma) == C.faces(2)
+    orient = square_signs(C, sigma)
     assert set(orient.values()) <= {1, -1}
     assert len(orient) == C.square_count
     # re-verify consistency directly: shared edges get opposite directions
@@ -191,6 +200,15 @@ def test_orientability_rejects_non_surface():
     with pytest.raises(NotASurfaceError):
         orientability(C)
     with pytest.raises(NotASurfaceError):
+        genus(C)
+
+
+def test_genus_checks_the_answer_against_the_polygon(monkeypatch):
+    # a closed surface here is the one over the m-gon: orientable, polygon_genus(m)
+    C = build(polygon_boundary(6))
+    monkeypatch.setattr(glue, "orient", lambda faces, uses: None)
+    assert orientability(C) == (False, None)
+    with pytest.raises(CrossCheckError, match="the m-gon gives"):
         genus(C)
 
 
@@ -225,19 +243,26 @@ def test_surface_report_shape():
     }
 
 
-def test_surface_report_builds_the_square_words_once(monkeypatch):
-    calls = []
+def test_closed_report_enumerates_no_cell_and_glues_m_words(monkeypatch):
+    def refuse(self, d):
+        raise AssertionError(f"cells({d}) enumerated")
+
+    word_counts = []
     edge_uses = glue.edge_uses
 
-    def counting(*args):
-        calls.append(args)
-        return edge_uses(*args)
+    def counting(words, edge_count):
+        word_counts.append(len(words))
+        return edge_uses(words, edge_count)
 
+    monkeypatch.setattr(CubicalSurface, "cells", refuse)
     monkeypatch.setattr(glue, "edge_uses", counting)
-    C = build(polygon_boundary(6))
-    assert calls == []  # build alone does no gluing work
-    assert surface_report(C)["genus"] == 17
-    assert len(calls) == 1  # shared by both verifications and the orientation
+    m = 20  # the default cap: 2^20 vertices and 5 * 2^20 squares, none listed
+    C = build(polygon_boundary(m))
+    assert word_counts == []  # build alone does no gluing work
+    rep = surface_report(C)
+    assert rep["closed_surface"] is True and rep["orientable"] is True
+    assert rep["genus"] == polygon_genus(m)
+    assert word_counts and set(word_counts) == {m}  # one word per edge of K
 
 
 def test_surface_report_enumerates_no_cell(monkeypatch):

@@ -1,17 +1,16 @@
 """The closed-surface and orientation checks against a Cell-keyed oracle.
 
 ``oracle_verify`` and ``oracle_orientability`` are the dictionary-based
-implementations that ``rzk`` used before it handed the squares to
-``glue`` as integer boundary words: edge -> squares and vertex -> edges
-/ squares tables keyed by Cell, and breadth-first searches over them.
-They are kept here, apart from the package, so that every report flag,
-every orientability verdict and the per-square assignment of the fast
-path are compared with them on seeded random complexes.
+implementations that ``rzk`` used before it checked the surface on K:
+edge -> squares and vertex -> edges / squares tables keyed by Cell, and
+breadth-first searches over every square. They are kept here, apart from
+the package, so that every report flag, every orientability verdict and
+the per-square signs that ``square_signs`` expands from ``rzk``'s
+per-face sigma are compared with them on seeded random complexes.
 
-``boundary`` and ``_edge_direction`` are the per-cell geometry that
-``rzk`` once derived the square words from; the arithmetic words of
-``CubicalSurface.gluing`` and its closed-form counts are compared with
-them and with the enumerated cells.
+``boundary`` and ``_edge_direction`` are the per-cell geometry of the
+squares; the closed-form cell counts are compared with the enumerated
+cells.
 """
 
 import random
@@ -163,15 +162,10 @@ def oracle_orientability(C):
     return True, orient
 
 
-def _oracle_words(C):
-    """Square words from the enumerated cells: edge Cell(1 << b, signs) is
-    ``b << m | signs``, directions from ``_edge_direction``."""
-    m = C.m
-    return [
-        tuple(((e.free.bit_length() - 1) << m | e.signs, _edge_direction(sq, e))
-              for e in boundary(sq))
-        for sq in C.cells(2)
-    ]
+def square_signs(C, sigma):
+    """The sign of every square from ``orientability``'s per-face sigma:
+    Cell(I, s) gets (-1)^popcount(s) * sigma[I]."""
+    return {sq: (-1) ** sq.signs.bit_count() * sigma[sq.free] for sq in C.cells(2)}
 
 
 def _assert_indexed_surface_matches_cells(C):
@@ -182,7 +176,6 @@ def _assert_indexed_surface_matches_cells(C):
     for d in range(C.dim + 1):
         assert all(c.free.bit_count() == d for c in C.cells(d))
         assert list(C.cells(d)) == sorted(set(C.cells(d)))
-    assert C.gluing[0] == _oracle_words(C)
 
 
 def _cycle(vertices):
@@ -225,7 +218,9 @@ def test_glued_checks_agree_with_the_cell_oracle(kind):
         assert flags == oracle_verify(C), (m, facets)
         if rep.closed_surface:
             closed_seen += 1
-            assert orientability(C) == oracle_orientability(C), (m, facets)
+            orientable, sigma = orientability(C)
+            signs = square_signs(C, sigma) if orientable else None
+            assert (orientable, signs) == oracle_orientability(C), (m, facets)
         else:
             with pytest.raises(NotASurfaceError):
                 orientability(C)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from involab.errors import ValidationError
+from involab.errors import CapError, ValidationError
 from involab.scomplex import (
+    MAX_FACES,
+    MAX_VERTICES,
     SimplicialComplex,
     from_facets,
     mask_of,
@@ -125,3 +127,17 @@ def test_parse_complex_m_only():
 def test_parse_complex_rejects(text):
     with pytest.raises(ValidationError):
         parse_complex(text)
+
+
+def test_sizes_that_drive_memory_are_capped_before_allocation():
+    # each would have built a mask of 10^12 bits or 2^24 faces before any cap
+    with pytest.raises(CapError, match="vertex cap"):
+        parse_complex("1000000000000\n1000000000000\n")
+    with pytest.raises(CapError, match="vertex cap"):
+        polygon_boundary(10**12)
+    with pytest.raises(CapError, match="face cap"):
+        parse_complex("24\n" + " ".join(map(str, range(1, 25))) + "\n")
+    assert len(polygon_boundary(MAX_VERTICES).faces) == 2 * MAX_VERTICES + 1
+    full = from_facets(20, [range(1, 21)])  # exactly at the face cap
+    assert len(full.faces) == MAX_FACES
+    assert SimplicialComplex(10**12).faces == {0}

@@ -8,7 +8,9 @@ never changed), runs every job once through that tree's
 ``involab.cli.main`` (H jobs through its ``fgenus.H``), and prints one
 line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
-same seed shows whether a change altered any output byte.
+same seed shows whether a change altered any output byte. A last line
+does the same for ``rzk --m 3..16`` in both report formats, sizes that
+the seeded workloads do not reach.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -26,6 +28,13 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def digest_line(name: str, jobs, cli, fgenus) -> str:
+    digest = hashlib.sha256()
+    for job in jobs:
+        digest.update(repr(run_job(job, cli, fgenus)).encode())
+    return f"{name} jobs={len(jobs)} sha256={digest.hexdigest()}"
 
 
 def run_job(job, cli, fgenus) -> tuple[object, str, str]:
@@ -62,11 +71,10 @@ def main() -> int:
         for name in workloads.WORKLOADS:
             workdir = Path(name)
             workdir.mkdir()
-            jobs = workloads.generate(name, args.seed, workdir)
-            digest = hashlib.sha256()
-            for job in jobs:
-                digest.update(repr(run_job(job, cli, fgenus)).encode())
-            print(f"{name} jobs={len(jobs)} sha256={digest.hexdigest()}")
+            print(digest_line(name, workloads.generate(name, args.seed, workdir), cli, fgenus))
+        polygons = [workloads.Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
+                    for m in range(3, 17) for fmt in ("json", "text")]
+        print(digest_line("rzk-m3-16", polygons, cli, fgenus))
     return 0
 
 
