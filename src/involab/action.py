@@ -156,9 +156,7 @@ def orientation_sign(C: CubicalSurface, g: SignElement) -> int:
     return -1 if g.support.bit_count() % 2 else 1
 
 
-def max_free_rank(
-    K: SimplicialComplex, cap: int = MAX_SEARCH_M
-) -> tuple[int, Subgroup]:
+def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     """Largest rank of a freely acting subgroup, with a deterministic witness.
 
     Branch and bound over canonical echelon bases: basis vectors are
@@ -172,8 +170,8 @@ def max_free_rank(
     is cut when too few pivot positions remain to beat the best rank
     found, and the witness goes through cross_check_free.
     """
-    if K.m > cap:
-        raise CapError(f"m={K.m} exceeds the free-rank search cap {cap}")
+    if K.m > MAX_SEARCH_M:
+        raise CapError(f"m={K.m} exceeds the free-rank search cap {MAX_SEARCH_M}")
     m = K.m
     by_top = [[f for f in K.faces if f.bit_length() == p + 1] for p in range(m)]
 

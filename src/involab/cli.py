@@ -9,9 +9,9 @@ table as CSV).
 Primary output goes to stdout and is byte-deterministic for fixed
 inputs; everything diagnostic goes to stderr. Exit codes: 0 success,
 2 invalid input, 3 a resource cap was exceeded, 4 two derivations of
-the same answer disagreed (CrossCheckError, a bug in the package). The
-environment variable INVOLAB_CELL_CAP overrides the cell-count build
-cap of ``rzk`` (an integer bound on m).
+the same answer disagreed (CrossCheckError, a bug in the package).
+Every cap is a fixed module constant, checked before the allocation it
+guards; no flag or environment variable moves one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import action, cover, fgenus, rzk, scomplex
@@ -40,16 +39,6 @@ def _boolean(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _build_cap() -> int:
-    raw = os.environ.get("INVOLAB_CELL_CAP")
-    if raw is None:
-        return rzk.DEFAULT_BUILD_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"INVOLAB_CELL_CAP must be an integer, got {raw!r}")
-
-
 def _load_complex(args: argparse.Namespace) -> scomplex.SimplicialComplex:
     if (args.m is None) == (args.complex is None):
         raise ValidationError("give exactly one of --m and --complex")
@@ -63,7 +52,7 @@ def _load_complex(args: argparse.Namespace) -> scomplex.SimplicialComplex:
 
 def cmd_rzk(args: argparse.Namespace) -> int:
     K = _load_complex(args)
-    C = rzk.build(K, cap=_build_cap())
+    C = rzk.build(K)
     report = rzk.surface_report(C)
     if args.report == "json":
         print(json.dumps(report))

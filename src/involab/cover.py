@@ -133,9 +133,7 @@ def orientable_by_character(B: SurfacePresentation, phi: Sequence[int]) -> bool:
     return gf2.in_span(B.orientation_character, rows)
 
 
-def build_cover(
-    B: SurfacePresentation, phi: Sequence[int], cap: int = MAX_COVER_RANK
-) -> CoverComplex:
+def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     """Glue the 2^n-sheeted cover determined by the GF(2) matrix phi.
 
     Checks, rather than assumes, that the relator lifts to closed paths,
@@ -145,8 +143,8 @@ def build_cover(
     """
     rows = _validate_phi(B, phi)
     n = len(rows)
-    if n > cap:
-        raise CapError(f"cover rank n={n} exceeds the sheet cap {cap} (2^n sheets)")
+    if n > MAX_COVER_RANK:
+        raise CapError(f"cover rank n={n} exceeds the sheet cap {MAX_COVER_RANK} (2^n sheets)")
     d = B.generator_count
     sheets = 1 << n
     # column i of phi, as an n-bit deck element: the phi-image of a_i
@@ -183,7 +181,7 @@ def build_cover(
     components = 1 << (n - gf2.rank(cols))
     orientable = glue.orient(boundaries, uses) is not None
 
-    algebraic = gf2.in_span(B.orientation_character, rows)
+    algebraic = orientable_by_character(B, rows)
     if algebraic != orientable:
         raise CrossCheckError(
             f"orientability mismatch: character test says {algebraic}, "

@@ -35,8 +35,8 @@ from . import gf2
 from .cover import build_cover, presentation
 from .errors import CapError, CrossCheckError, ValidationError
 
-DEFAULT_MAX_QUOTIENT_RANK = 16  # resolver cap on 2 - a
-DEFAULT_MAX_SHEETS = 1 << 16  # resolver cap on deck-group size
+MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
+MAX_SHEETS = 1 << 16  # nor a cover with a deck group larger than this
 MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.3 ms
 
 
@@ -98,11 +98,7 @@ def f_bounds(g: int) -> FValue:
     return FValue(g, dec.n - 1, dec.n, None, "cover-resolver", False)
 
 
-def f_exact(
-    g: int,
-    max_quotient_rank: int = DEFAULT_MAX_QUOTIENT_RANK,
-    max_sheets: int = DEFAULT_MAX_SHEETS,
-) -> FValue:
+def f_exact(g: int) -> FValue:
     """Exact f(g) where affordable.
 
     Even a: f = n outright. Odd a: search for an n-dimensional row space
@@ -111,15 +107,15 @@ def f_exact(
     always reaches rank n, since n <= 2 - a and w with the standard
     basis spans GF(2)^(2-a); the matrix is certified by building the
     cover and checking it is connected, orientable, and of genus g.
-    Quotient genus above ``max_quotient_rank`` or deck group above
-    ``max_sheets`` returns the bounds unresolved.
+    Quotient genus above MAX_QUOTIENT_RANK or deck group above
+    MAX_SHEETS returns the bounds unresolved.
     """
     dec = decompose(g)
     if dec.a_even:
         return FValue(g, dec.n, dec.n, dec.n, "formula", True)
     n = dec.n
     h = 2 - dec.a
-    if h > max_quotient_rank or (1 << n) > max_sheets:
+    if h > MAX_QUOTIENT_RANK or (1 << n) > MAX_SHEETS:
         return FValue(g, n - 1, n, None, "cover-resolver", False)
     base = presentation(False, h)
     w = base.orientation_character
@@ -149,28 +145,28 @@ def min_genus(n: int) -> int:
     return 1 + (1 << (n - 1)) * (n - 2)
 
 
-def equality_genera(
-    gmax: int, include_sphere: bool = True
-) -> list[tuple[int, int]]:
-    """All (n, min_genus(n)) with min_genus(n) <= gmax.
+def equality_genera(gmax: int) -> list[tuple[int, int]]:
+    """All (n, min_genus(n)) with min_genus(n) <= gmax, from n = 1.
 
-    The n = 1 entry is (1, 0), the sphere with the antipodal involution;
-    pass include_sphere=False to start the list at n = 2.
+    The n = 1 entry is (1, 0), the sphere with the antipodal involution.
     """
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
     out = []
-    n = 1 if include_sphere else 2
+    n = 1
     while (g := min_genus(n)) <= gmax:
         out.append((n, g))
         n += 1
     return out
 
 
+LAMBERT_TOL = 1e-13  # lambert_w stops once |w e^w - x| is at most this
+LAMBERT_MAX_STEPS = 100  # and raises CrossCheckError after this many Halley steps
 with mpmath.workdps(40):  # lambert_w's working precision
     _LN2 = mpmath.log(2)
     _BRANCH = -mpmath.exp(-1)  # W's branch point, W(-1/e) = -1
     _BRANCH_SLACK = mpmath.mpf("1e-15")  # float(-1/e) lies 1.2e-17 below it
+    _TOL = mpmath.mpf(LAMBERT_TOL)
 _BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
 _MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
 _SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
@@ -205,7 +201,7 @@ def _float_seed(x: float) -> float:
     return w
 
 
-def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
+def lambert_w(x) -> mpmath.mpf:
     """Principal-branch Lambert W by Halley iteration.
 
     Works in 40-digit arithmetic and returns an mpf, so the defining
@@ -217,7 +213,9 @@ def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
     since a float-accurate start would pass the residual test unrefined
     at small x. Where p = sqrt(2(e x + 1)) < 0.01 floats cannot resolve
     W + 1, so the start is the branch series to p^5 at 40 digits; there
-    40 digits pin W only to about 1e-41 / (1 + W). Raises below -1/e.
+    40 digits pin W only to about 1e-41 / (1 + W). Stops once the
+    residual is at most LAMBERT_TOL; raises CrossCheckError if that
+    takes more than LAMBERT_MAX_STEPS steps, and ValidationError below -1/e.
     """
     with mpmath.workdps(40):
         xm = mpmath.mpf(x)
@@ -238,11 +236,10 @@ def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
             w += -43 * p**4 / 540 + 769 * p**5 / 17280
         else:
             w = mpmath.mpf(_float_seed(float(xm)))
-        tol_m = mpmath.mpf(tol)
-        for step in range(max_steps):
+        for step in range(LAMBERT_MAX_STEPS):
             ew = mpmath.exp(w)
             f = w * ew - xm
-            if step and abs(f) <= tol_m:
+            if step and abs(f) <= _TOL:
                 break
             wp1 = w + 1
             w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
@@ -251,26 +248,23 @@ def lambert_w(x, tol: float = 1e-13, max_steps: int = 100) -> mpmath.mpf:
         return +w  # rounds to the working precision before leaving the context
 
 
-def H(g, exact_detect: bool = True) -> float:
+def H(g) -> float:
     """The envelope W((g-1) ln2 / 2)/ln2 + 2, as a float.
 
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
-    and is returned exactly (big-integer detection, no floats involved);
-    set exact_detect=False to force the Lambert route, e.g. to measure
-    the float path against the fast one.
+    and is returned exactly (big-integer detection, no floats involved).
     """
     if g < 0:
         raise ValidationError(f"H needs g >= 0, got {g!r}")
-    if exact_detect:
-        g_int = None
-        if isinstance(g, int):
-            g_int = g
-        elif isinstance(g, float) and g.is_integer():
-            g_int = int(g)
-        if g_int is not None:
-            n, g_n = equality_genera(g_int)[-1]  # g_int >= 0 = min_genus(1)
-            if g_n == g_int:
-                return float(n)
+    g_int = None
+    if isinstance(g, int):
+        g_int = g
+    elif isinstance(g, float) and g.is_integer():
+        g_int = int(g)
+    if g_int is not None:
+        n, g_n = equality_genera(g_int)[-1]  # g_int >= 0 = min_genus(1)
+        if g_n == g_int:
+            return float(n)
     with mpmath.workdps(40):
         x = (mpmath.mpf(g) - 1) * _LN2 / 2
         return float(lambert_w(x) / _LN2 + 2)
@@ -286,11 +280,9 @@ class FigureRow:
     equality: bool
 
 
-def _figure_row(
-    g: int, max_quotient_rank: int, max_sheets: int
-) -> FigureRow:
+def _figure_row(g: int) -> FigureRow:
     dec = decompose(g)
-    fv = f_exact(g, max_quotient_rank, max_sheets)
+    fv = f_exact(g)
     return FigureRow(
         g=g,
         f_lower=fv.lower,
@@ -301,17 +293,13 @@ def _figure_row(
     )
 
 
-def figure1_data(
-    gmax: int,
-    max_quotient_rank: int = DEFAULT_MAX_QUOTIENT_RANK,
-    max_sheets: int = DEFAULT_MAX_SHEETS,
-) -> list[FigureRow]:
+def figure1_data(gmax: int) -> list[FigureRow]:
     """Rows g = 0..gmax of the bounds/exact/envelope table."""
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
     if gmax > MAX_FIGURE_G:
         raise CapError(f"gmax={gmax} exceeds the figure cap {MAX_FIGURE_G}")
-    return [_figure_row(g, max_quotient_rank, max_sheets) for g in range(gmax + 1)]
+    return [_figure_row(g) for g in range(gmax + 1)]
 
 
 def figure_csv(rows: list[FigureRow]) -> str:

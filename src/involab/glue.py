@@ -10,8 +10,9 @@ direction +1 or -1, and edge ids index ``range(edge_count)``. The
 routines here answer the two questions both models ask of a gluing: how
 often each edge is traversed, and whether the faces can be oriented so
 that every edge is crossed once in each direction. Components are not
-counted here: in both models they are the cosets of a GF(2) span,
-counted by its rank.
+counted here: in both models they are the cosets of a GF(2) span, which
+``cover`` counts by its rank and ``rzk`` by K's vertices, distinct unit
+vectors that span everything iff all m coordinates are vertices.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from . import gf2, glue
+from . import glue
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .scomplex import SimplicialComplex
 
-DEFAULT_BUILD_CAP = 20  # build() refuses m above this; cells() holds sum 2^(m-|I|) cells
+MAX_CELL_M = 20  # cells() refuses m above this; it lists 2^(m-|I|) cells per face I
 
 
 class Cell(NamedTuple):
@@ -60,7 +60,8 @@ class CubicalSurface:
     coordinates outside I), so every count is a closed form in K's faces
     and ``build`` enumerates nothing. ``cells(d)`` lists the d-cells in
     increasing (free, signs) order, computed on first access and kept;
-    no report calls it.
+    no report calls it, and it refuses m > MAX_CELL_M, 2^m vertices
+    alone being more than it can hold.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -80,6 +81,8 @@ class CubicalSurface:
         return self._faces.get(d, [])
 
     def cells(self, d: int) -> tuple[Cell, ...]:
+        if self.m > MAX_CELL_M:
+            raise CapError(f"m={self.m} exceeds the cell-listing cap {MAX_CELL_M}")
         if d not in self._cells:
             full = (1 << self.m) - 1
             self._cells[d] = tuple(
@@ -108,17 +111,9 @@ class CubicalSurface:
         return euler_characteristic(self.K)
 
 
-def build(K: SimplicialComplex, cap: int = DEFAULT_BUILD_CAP) -> CubicalSurface:
-    """The cubical complex over K; no cell is enumerated here.
-
-    Refuses m > cap: ``cells()`` lists sum over faces I of 2^(m - |I|)
-    cells, 2^m for the vertices alone. The reports never list them.
-    """
-    if K.m > cap:
-        raise CapError(
-            f"m={K.m} exceeds the build cap {cap}; "
-            f"raise the cap explicitly if you really want 2^{K.m} vertices"
-        )
+def build(K: SimplicialComplex) -> CubicalSurface:
+    """The cubical complex over K; no cell is enumerated here, so any K
+    that ``scomplex`` accepts builds, and only ``cells()`` is capped."""
     return CubicalSurface(K)
 
 
@@ -203,8 +198,9 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     links_ok = _link_is_single_cycle(C.faces(1), C.faces(2))
 
     # an edge joins the vertices whose signs differ in its free bit, so the
-    # components are the cosets of the span of the vertices of K
-    connected = gf2.rank(C.faces(1)) == C.m
+    # components are the cosets of the span of K's vertices; those are
+    # distinct unit vectors, so the span is everything iff all m are there
+    connected = len(C.faces(1)) == C.m
     return SurfaceReport(edges_ok, links_ok, connected)
 
 

@@ -32,6 +32,7 @@ from involab.rzk import build, genus, orientability, verify_closed_surface
 from involab.scomplex import polygon_boundary
 
 from test_action_oracle import span_elements
+from test_fgenus import H_by_lambert
 from test_rzk_oracle import square_signs
 
 
@@ -225,7 +226,7 @@ def test_criterion_08_lambert_residuals_and_envelope_inversion():
             failures.append(f"worst residual {mpmath.nstr(worst, 3)}")
     for n in range(1, 21):
         g = min_genus(n)
-        for value in (H(g), H(g, exact_detect=False)):
+        for value in (H(g), H_by_lambert(g)):
             if abs(value - n) > 1e-9:
                 failures.append(f"H({g}) = {value}, expected {n}")
     verdict(

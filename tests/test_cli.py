@@ -2,7 +2,7 @@
 
 Everything goes through main(argv) so the tests see exactly what a
 shell user would, including the 0/2/3/4 exit-code contract and the
-INVOLAB_CELL_CAP override.
+fixed caps behind exit 3.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from involab.cli import main
 from involab.cover import parse_phi
 from involab.errors import CapError, ValidationError
+from involab.rzk import polygon_genus
 from involab.scomplex import parse_complex
 
 PENTAGON_REPORT = {
@@ -130,8 +131,9 @@ def test_consecutive_calls_share_no_state(capsys):
     assert run(capsys, "free-rank", "--m", "6", "--witness")[1] == "4\n1 3\n2 4\n1 5\n2 6\n"
 
 
-@pytest.mark.parametrize("m", range(17, 21))
+@pytest.mark.parametrize("m", [17, 18, 19, 20, 21, 40, 1024])
 def test_rzk_reports_the_large_polygons(capsys, m):
+    # no report lists a cell, so only the vertex cap (1024) bounds m
     code, out, err = run(capsys, "rzk", "--m", str(m))
     assert code == 0 and err == ""
     assert json.loads(out) == {
@@ -144,24 +146,26 @@ def test_rzk_reports_the_large_polygons(capsys, m):
         "orientable": True,
         "genus": 1 + 2 ** (m - 3) * (m - 4),
     }
+    assert json.loads(out)["genus"] == polygon_genus(m)
 
 
 def test_rzk_cap_exits_3(capsys):
-    code, _, err = run(capsys, "rzk", "--m", "21")
-    assert code == 3
-    assert "cap" in err
+    code, out, err = run(capsys, "rzk", "--m", "1025")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "vertex cap 1024" in err
 
 
-def test_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("INVOLAB_CELL_CAP", "10")
-    code, _, _ = run(capsys, "rzk", "--m", "12")
-    assert code == 3
-    monkeypatch.setenv("INVOLAB_CELL_CAP", "12")
-    code, out, _ = run(capsys, "rzk", "--m", "12")
-    assert code == 0
-    assert json.loads(out)["genus"] == 1 + 2**9 * 8
-    monkeypatch.setenv("INVOLAB_CELL_CAP", "many")
-    assert run(capsys, "rzk", "--m", "4")[0] == 2
+def test_rzk_complete_graph_is_reported_not_capped(capsys, tmp_path):
+    m = 40
+    path = tmp_path / "k40.txt"
+    path.write_text(f"{m}\n" + "".join(f"{i} {j}\n" for i in range(1, m + 1)
+                                       for j in range(i + 1, m + 1)))
+    code, out, err = run(capsys, "rzk", "--complex", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["closed_surface"] is False and report["genus"] is None
+    assert report["V"] == 2**m and report["F"] == m * (m - 1) // 2 * 2 ** (m - 2)
 
 
 def test_free_rank_plain(capsys):

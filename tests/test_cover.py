@@ -12,6 +12,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involab import gf2
 from involab.cover import (
@@ -164,6 +166,37 @@ def test_cover_laws_exhaustively(B):
             assert cover.orientable == gf2.in_span(w, rows)
             if cover.components == 1 and cover.orientable:
                 assert cover.chi == 2 - 2 * cover.genus
+
+
+def span_set(rows):
+    """Every GF(2) combination of the rows, by doubling; no gf2 routine."""
+    out = {0}
+    for r in rows:
+        out |= {x ^ r for x in out}
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(True, g) for g in (1, 2, 3)] + [(False, g) for g in range(1, 7)]),
+    st.data(),
+)
+def test_cover_laws_on_random_matrices(base, data):
+    """The laws the f-resolver relies on, for random phi with d <= 6 and
+    n <= 6: chi multiplies by 2^n, components = 2^(n - rank phi), and the
+    cover is orientable iff w is in the row space."""
+    B = presentation(*base)
+    d = B.generator_count
+    rows = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=6))
+    n = len(rows)
+    span = span_set(rows)
+    rank = len(span).bit_length() - 1
+    cover = build_cover(B, rows)
+    assert cover.chi == (1 << n) * B.euler_characteristic
+    assert cover.components == 1 << (n - rank) == face_components(cover)
+    assert cover.orientable == (B.orientation_character in span)
+    if cover.components == 1:
+        assert cover.chi == (2 - 2 * cover.genus if cover.orientable else 2 - cover.genus)
 
 
 def test_cover_orientable_matches_character_test():

@@ -9,7 +9,7 @@ from collections import Counter, deque
 
 import pytest
 
-from involab import glue
+from involab import glue, rzk
 from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import (
     Cell,
@@ -83,14 +83,19 @@ def test_euler_formula_needs_no_build():
     assert euler_characteristic(K) == 2**38 * (4 - 40)
 
 
-def test_build_cap():
-    with pytest.raises(CapError, match="20"):
-        build(polygon_boundary(21))
-
-
-def test_build_cap_override_runs():
-    C = build(polygon_boundary(12), cap=12)
-    assert C.vertex_count == 4096
+def test_build_cap(monkeypatch):
+    # build lists nothing, so any m builds; cells() refuses m > MAX_CELL_M
+    # before it lists a cell
+    monkeypatch.setattr(rzk, "MAX_CELL_M", 5)
+    assert len(build(polygon_boundary(5)).cells(0)) == 32
+    with pytest.raises(CapError, match="cell-listing cap 5"):
+        build(polygon_boundary(6)).cells(0)
+    monkeypatch.undo()
+    assert rzk.MAX_CELL_M == 20
+    C = build(polygon_boundary(21))
+    assert surface_report(C)["genus"] == polygon_genus(21)
+    with pytest.raises(CapError, match="cell-listing cap 20"):
+        CubicalSurface(polygon_boundary(21)).cells(0)
 
 
 def test_boundary_of_boundary_cancels():
@@ -256,7 +261,7 @@ def test_closed_report_enumerates_no_cell_and_glues_m_words(monkeypatch):
 
     monkeypatch.setattr(CubicalSurface, "cells", refuse)
     monkeypatch.setattr(glue, "edge_uses", counting)
-    m = 20  # the default cap: 2^20 vertices and 5 * 2^20 squares, none listed
+    m = 20  # 2^20 vertices and 5 * 2^20 squares, none listed
     C = build(polygon_boundary(m))
     assert word_counts == []  # build alone does no gluing work
     rep = surface_report(C)
@@ -270,7 +275,7 @@ def test_surface_report_enumerates_no_cell(monkeypatch):
         raise AssertionError(f"cells({d}) enumerated")
 
     monkeypatch.setattr(CubicalSurface, "cells", refuse)
-    m = 20  # the default cap: 2^20 vertices, none of them listed
+    m = 20  # 2^20 vertices, none of them listed
     K = from_facets(m, [(i, i % m + 1) for i in range(1, m + 1)] + [(1, 2, 3)])
     rep = surface_report(build(K))
     V, E, F, T = 2**m, m * 2 ** (m - 1), (m + 1) * 2 ** (m - 2), 2 ** (m - 3)

@@ -9,7 +9,7 @@ never changed), runs every job once through that tree's
 line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
 same seed shows whether a change altered any output byte. A last line
-does the same for ``rzk --m 3..16`` in both report formats, sizes that
+does the same for ``rzk --m 3..20`` in both report formats, sizes that
 the seeded workloads do not reach.
 
 Inputs are written under a temporary directory, and jobs name them by a
@@ -73,8 +73,8 @@ def main() -> int:
             workdir.mkdir()
             print(digest_line(name, workloads.generate(name, args.seed, workdir), cli, fgenus))
         polygons = [workloads.Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
-                    for m in range(3, 17) for fmt in ("json", "text")]
-        print(digest_line("rzk-m3-16", polygons, cli, fgenus))
+                    for m in range(3, 21) for fmt in ("json", "text")]
+        print(digest_line("rzk-m3-20", polygons, cli, fgenus))
     return 0
 
 
