@@ -8,18 +8,18 @@ a_1 a_1 a_2 a_2 ... . One vertex, d edges, one face, chi = 2 - d.
 A homomorphism from the free group on the generators to (Z/2)^n that
 kills the relator factors through mod-2 homology, so it is just a GF(2)
 matrix phi with n rows and d columns. The associated cover has one sheet
-per group element: vertices are the 2^n sheets, edge (i, q) is the lift
-of a_i starting on sheet q, and every sheet carries one polygon whose
-boundary is read off the base word while accumulating phi-images. The
+per group element, each carrying one vertex and one polygon. The
 cover's Euler characteristic is 2^n times the base's by counting, it is
 connected iff phi is onto, and it is orientable iff the orientation
 character (the mod-2 word map recording which generators reverse
 orientation) vanishes on the kernel of phi, equivalently lies in phi's
 row space.
 
-Orientability is computed both ways on every build, by the algebraic
-row-space test and by sign propagation over the glued polygons, and a
-disagreement raises instead of returning anything.
+The deck group acts on the sheets by XOR, so ``build_cover`` reads every
+polygon off sheet 0's walk along the base word, in O(|word| + d·n).
+Components are counted from the vertices and from the faces, and
+orientability by the row-space test and by sign propagation solved over
+the deck group; a disagreement raises instead of returning anything.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import gf2, glue
+from . import gf2
 from .errors import CapError, CrossCheckError, ValidationError
 
-MAX_COVER_RANK = 20  # 2^n sheets are materialized; refuse larger n
+MAX_COVER_RANK = 20  # the report's ints are 2^n-sized; Python prints none over 4300 digits
 MAX_GENERATORS = 1 << 16  # the base word is materialized; refuse more generators
 
 
@@ -93,13 +93,12 @@ def _validate_phi(B: SurfacePresentation, phi: Sequence[int]) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class CoverComplex:
-    """A built regular cover: 2^n sheets over a one-polygon base.
+    """A classified regular cover: 2^n sheets over a one-polygon base.
 
-    Cells are indexed, not stored as objects: vertex q and face q run
-    over range(2^n), edge (i, q) has id i * 2^n + q and is the lift of
-    generator i starting at sheet q. ``face_boundaries[q]`` lists the
-    (edge id, direction) traversals of the polygon on sheet q, in word
-    order. The deck group acts on all three kinds of index by XOR on q.
+    Cells are indexed, never stored: vertex q and face q run over range(2^n),
+    and edge (i, q), id i * 2^n + q, lifts generator i from sheet q. The deck
+    group acts on all three by XOR on q, so face q's boundary is sheet 0's
+    walk along the base word with every edge's sheet XORed by q.
     """
 
     base: SurfacePresentation
@@ -113,7 +112,6 @@ class CoverComplex:
     components: int
     orientable: bool
     genus: int | None
-    face_boundaries: tuple[tuple[tuple[int, int], ...], ...]
 
     def to_report(self) -> dict:
         return {
@@ -134,12 +132,11 @@ def orientable_by_character(B: SurfacePresentation, phi: Sequence[int]) -> bool:
 
 
 def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
-    """Glue the 2^n-sheeted cover determined by the GF(2) matrix phi.
+    """Classify the 2^n-sheeted cover determined by the GF(2) matrix phi.
 
-    Checks, rather than assumes, that the relator lifts to closed paths,
-    that every edge is traversed exactly twice over all polygons, and
-    that the sign-propagation orientability verdict matches the
-    algebraic one (CrossCheckError otherwise).
+    Checks on sheet 0's walk, rather than assumes, that the relator lifts
+    to closed paths crossing every edge twice, and that both derivations
+    of components and of orientability agree (CrossCheckError otherwise).
     """
     rows = _validate_phi(B, phi)
     n = len(rows)
@@ -154,32 +151,38 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
             if (row >> i) & 1:
                 cols[i] |= 1 << r
 
-    word = B.word
-    edge_count = d * sheets
-    boundaries: list[tuple[tuple[int, int], ...]] = []
-    for q in range(sheets):
-        v = q
-        path: list[tuple[int, int]] = []
-        for i, s in word:
-            shift = cols[i]
-            start = v if s > 0 else v ^ shift
-            path.append((i * sheets + start, s))
-            v ^= shift
-        if v != q:
-            raise CrossCheckError("relator did not close up in the cover")
-        boundaries.append(tuple(path))
+    # sheet 0's walk: on sheet q, a letter (i, s) starting at a crosses edge (i, q ^ a)
+    letters: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    v = 0
+    for i, s in B.word:
+        letters[i].append((v if s > 0 else v ^ cols[i], s))
+        v ^= cols[i]
+    if v:  # the walk from sheet q ends at q ^ v
+        raise CrossCheckError("relator did not close up in the cover")
 
-    uses = glue.edge_uses(boundaries, edge_count)
-    for eid, u in enumerate(uses):
-        if len(u) != 2:
+    # every edge (i, q) is crossed once per letter of generator i; with two
+    # letters starting at a and b, faces q and q ^ a ^ b share it, and
+    # oriented signs need sign(q ^ a ^ b) = -s1 * s2 * sign(q)
+    joins, parities = [], []
+    for i, uses in enumerate(letters):
+        if len(uses) != 2:
             raise CrossCheckError(
-                f"edge {eid} traversed {len(u)} times; expected exactly 2"
+                f"edge {i * sheets} traversed {len(uses)} times; expected exactly 2"
             )
+        (a, s1), (b, s2) = uses
+        joins.append(a ^ b)
+        parities.append(a ^ b | (s1 == s2) << n)
 
-    # vertices are the sheets, joined along each edge by its generator's
-    # image, so the components are the cosets of the span of the columns
+    # vertices are the sheets joined by the columns, faces the sheets
+    # joined by the shared edges: components are cosets of either span
     components = 1 << (n - gf2.rank(cols))
-    orientable = glue.orient(boundaries, uses) is not None
+    by_faces = 1 << (n - gf2.rank(joins))
+    if by_faces != components:
+        raise CrossCheckError(
+            f"component mismatch: vertices give {components}, faces give {by_faces}"
+        )
+    # signs exist iff no cycle of joins flips an odd number of times
+    orientable = not gf2.in_span(1 << n, parities)
 
     algebraic = orientable_by_character(B, rows)
     if algebraic != orientable:
@@ -188,6 +191,7 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
             f"sign propagation says {orientable}"
         )
 
+    edge_count = d * sheets
     chi = sheets - edge_count + sheets
     genus: int | None = None
     if components == 1:
@@ -209,7 +213,6 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
         components=components,
         orientable=orientable,
         genus=genus,
-        face_boundaries=tuple(boundaries),
     )
 
 

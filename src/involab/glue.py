@@ -1,18 +1,15 @@
 """Closed surfaces glued from polygons along paired edges.
 
-Both surface models in the package are checked as such gluings: a
-regular cover (``cover``) glues one polygon per sheet, and the cubical
-surface over a complex K (``rzk``) is checked on one square per orbit of
-the sign flips, a two-letter word over K's vertices for each edge of K,
-instead of on all its 2^(m-2) squares per edge. A face is given by its
-boundary word, a tuple of (edge id, direction) traversals with
-direction +1 or -1, and edge ids index ``range(edge_count)``. The
-routines here answer the two questions both models ask of a gluing: how
-often each edge is traversed, and whether the faces can be oriented so
-that every edge is crossed once in each direction. Components are not
-counted here: in both models they are the cosets of a GF(2) span, which
-``cover`` counts by its rank and ``rzk`` by K's vertices, distinct unit
-vectors that span everything iff all m coordinates are vertices.
+A face is given by its boundary word, a tuple of (edge id, direction)
+traversals with direction +1 or -1, and edge ids index
+``range(edge_count)``. The routines here answer two questions of a
+gluing: how often each edge is traversed, and whether the faces can be
+oriented so that every edge is crossed once in each direction. Their
+caller in the package is ``rzk``, which checks the cubical surface over K
+on one square per orbit of the sign flips, a two-letter word over K's
+vertices for each edge of K. ``cover`` classifies its regular covers on
+one sheet without a gluing; the per-sheet cover gluing in
+``tests/test_cover_oracle.py`` runs these routines as its oracle.
 """
 
 from __future__ import annotations

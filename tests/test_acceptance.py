@@ -32,6 +32,7 @@ from involab.rzk import build, genus, orientability, verify_closed_surface
 from involab.scomplex import polygon_boundary
 
 from test_action_oracle import span_elements
+from test_cover_oracle import face_components, oracle_boundaries
 from test_fgenus import H_by_lambert
 from test_rzk_oracle import square_signs
 
@@ -143,22 +144,6 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
     verdict("orientation sign is (-1)^|support| for every element, m <= 7", failures)
 
 
-def face_components(cover):
-    """Components of the glued polygons, joining faces that share an edge id."""
-    parent = list(range(cover.face_count))
-
-    def root(f):
-        while parent[f] != f:
-            f = parent[f]
-        return f
-
-    first_face = {}
-    for f, word in enumerate(cover.face_boundaries):
-        for eid, _ in word:
-            parent[root(f)] = root(first_face.setdefault(eid, f))
-    return sum(parent[f] == f for f in range(len(parent)))
-
-
 def test_criterion_06_cover_laws_hold_for_every_matrix():
     failures = []
     bases = [
@@ -175,13 +160,13 @@ def test_criterion_06_cover_laws_hold_for_every_matrix():
         d = B.generator_count
         for n in range(d + 1):
             for rows in itertools.product(range(1 << d), repeat=n):
-                cc = build_cover(B, rows)  # internally cross-checks BFS vs algebra
+                cc = build_cover(B, rows)  # cross-checks components and orientability two ways
                 checked += 1
                 if cc.chi != cc.sheets * B.euler_characteristic:
                     failures.append(f"{B}: chi not multiplicative at {rows}")
                 if cc.components != 1 << (n - gf2.rank(rows)):
                     failures.append(f"{B}: component count wrong at {rows}")
-                if cc.components != face_components(cc):
+                if cc.components != face_components(oracle_boundaries(B, rows)):
                     failures.append(f"{B}: components disagree with the glued faces at {rows}")
                 if cc.orientable != orientable_by_character(B, rows):
                     failures.append(f"{B}: orientability mismatch at {rows}")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involab import gf2
+from involab import gf2, glue
 from involab.cover import (
+    MAX_COVER_RANK,
     MAX_GENERATORS,
     CoverComplex,
     SurfacePresentation,
@@ -26,29 +27,13 @@ from involab.cover import (
     prop2_tower,
 )
 from involab.errors import CapError, CrossCheckError, ValidationError
+from test_cover_oracle import face_components, oracle_boundaries
 
 TORUS = presentation(True, 1)
 GENUS2 = presentation(True, 2)
 RP2 = presentation(False, 1)
 KLEIN = presentation(False, 2)
 N3 = presentation(False, 3)
-
-
-def face_components(cover):
-    """Components of the glued polygons, joining faces that share an edge id;
-    independent of the cover's own count."""
-    parent = list(range(cover.face_count))
-
-    def root(f):
-        while parent[f] != f:
-            f = parent[f]
-        return f
-
-    first_face = {}
-    for f, word in enumerate(cover.face_boundaries):
-        for eid, _ in word:
-            parent[root(f)] = root(first_face.setdefault(eid, f))
-    return sum(parent[f] == f for f in range(len(parent)))
 
 
 def test_presentation_words():
@@ -131,21 +116,22 @@ def test_to_report_shape():
 
 def test_every_edge_traversed_twice():
     cover = build_cover(GENUS2, [0b0011, 0b1100])
-    counts = Counter(eid for path in cover.face_boundaries for eid, _ in path)
+    boundaries = oracle_boundaries(GENUS2, [0b0011, 0b1100])
+    counts = Counter(eid for path in boundaries for eid, _ in path)
     assert len(counts) == cover.edge_count
     assert set(counts.values()) == {2}
 
 
 def test_deck_group_translates_face_boundaries():
-    cover = build_cover(TORUS, [0b01, 0b10])
-    sheets = cover.sheets
+    sheets = build_cover(TORUS, [0b01, 0b10]).sheets
+    boundaries = oracle_boundaries(TORUS, [0b01, 0b10])
     for t in range(sheets):
         for q in range(sheets):
             translated = tuple(
                 ((eid // sheets) * sheets + ((eid % sheets) ^ t), s)
-                for eid, s in cover.face_boundaries[q]
+                for eid, s in boundaries[q]
             )
-            assert cover.face_boundaries[q ^ t] == translated
+            assert boundaries[q ^ t] == translated
 
 
 @pytest.mark.parametrize(
@@ -162,7 +148,7 @@ def test_cover_laws_exhaustively(B):
             cover = build_cover(B, rows)
             assert cover.chi == cover.sheets * B.euler_characteristic
             assert cover.components == 1 << (n - gf2.rank(rows))
-            assert cover.components == face_components(cover)
+            assert cover.components == face_components(oracle_boundaries(B, rows))
             assert cover.orientable == gf2.in_span(w, rows)
             if cover.components == 1 and cover.orientable:
                 assert cover.chi == 2 - 2 * cover.genus
@@ -193,7 +179,7 @@ def test_cover_laws_on_random_matrices(base, data):
     rank = len(span).bit_length() - 1
     cover = build_cover(B, rows)
     assert cover.chi == (1 << n) * B.euler_characteristic
-    assert cover.components == 1 << (n - rank) == face_components(cover)
+    assert cover.components == 1 << (n - rank) == face_components(oracle_boundaries(B, rows))
     assert cover.orientable == (B.orientation_character in span)
     if cover.components == 1:
         assert cover.chi == (2 - 2 * cover.genus if cover.orientable else 2 - cover.genus)
@@ -262,6 +248,27 @@ def test_build_cover_raises_when_the_two_orientability_tests_disagree():
     mislabelled = SurfacePresentation(True, 1, KLEIN.word)
     with pytest.raises(CrossCheckError, match="orientability mismatch"):
         build_cover(mislabelled, [])
+
+
+@pytest.mark.parametrize("orientable, genus", [(True, 11), (False, 22)])
+def test_build_cover_glues_no_sheet(monkeypatch, orientable, genus):
+    """2^20 sheets over a base with 22 generators, classified without a
+    single glued polygon: onto or not, orientable or not."""
+
+    def refuse(*args):
+        raise AssertionError("build_cover glued polygons")
+
+    monkeypatch.setattr(glue, "edge_uses", refuse)
+    monkeypatch.setattr(glue, "orient", refuse)
+    B = presentation(orientable, genus)
+    d, w, n = B.generator_count, B.orientation_character, MAX_COVER_RANK
+    units = [1 << r for r in range(n)]
+    for rows in [units, [w] + units[1:], units[:-1] + [units[0]], [w] * 2 + units[2:]]:
+        cover = build_cover(B, rows)
+        assert cover.sheets == 1 << n
+        assert cover.chi == (1 << n) * (2 - d)
+        assert cover.components == 1 << (n - gf2.rank(rows))
+        assert cover.orientable == gf2.in_span(w, rows)
 
 
 def test_rank_cap():

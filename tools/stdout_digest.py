@@ -8,9 +8,10 @@ never changed), runs every job once through that tree's
 ``involab.cli.main`` (H jobs through its ``fgenus.H``), and prints one
 line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
-same seed shows whether a change altered any output byte. A last line
-does the same for ``rzk --m 3..20`` in both report formats, sizes that
-the seeded workloads do not reach.
+same seed shows whether a change altered any output byte. Two last
+lines do the same for ``rzk --m 3..20`` in both report formats and for
+eight fixed ``cover`` runs at n = 13..16, sizes that the seeded workloads
+do not reach.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -28,6 +29,21 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# (base orientable, base genus, phi rows as generator bitmasks), n = 13..16:
+# onto and not, and over nonorientable bases orientable (the all-ones
+# character in the row space) and not
+E = [1 << r for r in range(16)]
+LARGE_COVERS = [
+    (True, 7, E[:13]),
+    (False, 13, [(1 << 13) - 1] + E[1:13]),
+    (False, 15, E[:14]),
+    (True, 8, E[:13] + [E[0] ^ E[1]]),
+    (False, 16, [(1 << 16) - 1] + E[1:14] + [((1 << 16) - 1) ^ E[1]]),
+    (False, 15, E[:14] + [E[0]]),
+    (True, 9, E[:16]),
+    (False, 18, E[:16]),
+]
 
 
 def digest_line(name: str, jobs, cli, fgenus) -> str:
@@ -54,6 +70,18 @@ def run_job(job, cli, fgenus) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def large_cover_jobs(Job) -> list:
+    jobs = []
+    for k, (orientable, genus, rows) in enumerate(LARGE_COVERS):
+        d = 2 * genus if orientable else genus
+        path = Path(f"large-cover-{k}.txt")
+        path.write_text("".join(" ".join(str((r >> i) & 1) for i in range(d)) + "\n"
+                                for r in rows), encoding="utf-8")
+        jobs.append(Job("large-cover", ("cover", "--orientable", str(orientable).lower(),
+                                        "--genus", str(genus), "--phi", str(path)), "cover"))
+    return jobs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the tree's src directory")
@@ -75,6 +103,7 @@ def main() -> int:
         polygons = [workloads.Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
                     for m in range(3, 21) for fmt in ("json", "text")]
         print(digest_line("rzk-m3-20", polygons, cli, fgenus))
+        print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job), cli, fgenus))
     return 0
 
 
