@@ -21,7 +21,8 @@ inverting that over the reals gives the envelope
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
 in exact integers, never through floats; W itself is computed by Halley
-iteration in 40-digit arithmetic from a float64 start.
+iteration in 40-digit arithmetic (136-bit mpmath.libmp operations on raw
+tuples, without mpf objects or precision contexts) from a float64 start.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import (dps_to_prec, fnone, fone, from_float, from_int, ftwo, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest,
+                          to_float)
 
 from . import gf2
 from .cover import build_cover, presentation
@@ -162,11 +167,12 @@ def equality_genera(gmax: int) -> list[tuple[int, int]]:
 
 LAMBERT_TOL = 1e-13  # lambert_w stops once |w e^w - x| is at most this
 LAMBERT_MAX_STEPS = 100  # and raises CrossCheckError after this many Halley steps
-with mpmath.workdps(40):  # lambert_w's working precision
-    _LN2 = mpmath.log(2)
-    _BRANCH = -mpmath.exp(-1)  # W's branch point, W(-1/e) = -1
-    _BRANCH_SLACK = mpmath.mpf("1e-15")  # float(-1/e) lies 1.2e-17 below it
-    _TOL = mpmath.mpf(LAMBERT_TOL)
+_PREC, _RND = dps_to_prec(40), round_nearest  # 136 bits: lambert_w's working precision
+with mpmath.workdps(40):  # raw tuples of its constants
+    _LN2 = mpmath.log(2)._mpf_
+    _BRANCH = (-mpmath.exp(-1))._mpf_  # W's branch point, W(-1/e) = -1
+    _BRANCH_SLACK = mpmath.mpf("1e-15")._mpf_  # float(-1/e) lies 1.2e-17 below it
+    _TOL = mpmath.mpf(LAMBERT_TOL)._mpf_
 _BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
 _MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
 _SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
@@ -204,48 +210,57 @@ def _float_seed(x: float) -> float:
 def lambert_w(x) -> mpmath.mpf:
     """Principal-branch Lambert W by Halley iteration.
 
-    Works in 40-digit arithmetic and returns an mpf, so the defining
-    residual w*e^w - x is driven far below float precision even for
-    large x (a float64 result could not hold |residual| <= 1e-12 once
-    x is big, its own ulp gets in the way). It starts from W to about
-    one ulp in float64 (``_float_seed``), and Halley triples the correct
-    digits, so one 40-digit step suffices; that step is always taken,
-    since a float-accurate start would pass the residual test unrefined
-    at small x. Where p = sqrt(2(e x + 1)) < 0.01 floats cannot resolve
-    W + 1, so the start is the branch series to p^5 at 40 digits; there
-    40 digits pin W only to about 1e-41 / (1 + W). Stops once the
-    residual is at most LAMBERT_TOL; raises CrossCheckError if that
-    takes more than LAMBERT_MAX_STEPS steps, and ValidationError below -1/e.
+    Works in 40-digit arithmetic, done as 136-bit mpmath.libmp tuple
+    operations, and returns an mpf, so the defining residual w*e^w - x
+    is driven far below float precision even for large x (a float64
+    result could not hold |residual| <= 1e-12 once x is big, its own ulp
+    gets in the way). It starts from W to about one ulp in float64
+    (``_float_seed``), and Halley triples the correct digits, so one
+    40-digit step suffices; that step is always taken, since a
+    float-accurate start would pass the residual test unrefined at small
+    x. Where p = sqrt(2(e x + 1)) < 0.01 floats cannot resolve W + 1, so
+    the start is the branch series to p^5 at 40 digits; there 40 digits
+    pin W only to about 1e-41 / (1 + W). Stops once the residual is at
+    most LAMBERT_TOL; raises CrossCheckError if that takes more than
+    LAMBERT_MAX_STEPS steps, and ValidationError below -1/e.
     """
-    with mpmath.workdps(40):
-        xm = mpmath.mpf(x)
-        if xm < _BRANCH:
-            if _BRANCH - xm < _BRANCH_SLACK:
-                xm = _BRANCH  # rounding slack for callers handing us float(-1/e)
-            else:
-                raise ValidationError(
-                    f"lambert_w needs x >= -1/e = {float(_BRANCH)!r}, got {x!r}"
-                )
-        if xm == _BRANCH:
-            return mpmath.mpf(-1)
-        if xm == 0:
-            return mpmath.mpf(0)
-        if xm < _MP_SERIES_CUT:
-            p = mpmath.sqrt(2 * (mpmath.e * xm + 1))
-            w = -1 + p - p**2 / 3 + 11 * p**3 / 72
-            w += -43 * p**4 / 540 + 769 * p**5 / 17280
+    prec, rnd = _PREC, _RND
+    xm = mpf_pos(mpmath.mpf.mpf_convert_arg(x, prec, rnd), prec, rnd)  # mpmath.mpf(x)
+    if mpf_lt(xm, _BRANCH):
+        if mpf_lt(mpf_sub(_BRANCH, xm, prec, rnd), _BRANCH_SLACK):
+            xm = _BRANCH  # rounding slack for callers handing us float(-1/e)
         else:
-            w = mpmath.mpf(_float_seed(float(xm)))
-        for step in range(LAMBERT_MAX_STEPS):
-            ew = mpmath.exp(w)
-            f = w * ew - xm
-            if step and abs(f) <= _TOL:
-                break
-            wp1 = w + 1
-            w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
-        else:
+            with mpmath.workdps(40):  # an mpf x prints its 40 digits
+                raise ValidationError(f"lambert_w needs x >= -1/e = "
+                                      f"{to_float(_BRANCH, rnd=rnd)!r}, got {x!r}")
+    if mpf_eq(xm, _BRANCH):
+        return mpmath.mpf(-1)
+    if mpf_eq(xm, fzero):
+        return mpmath.mpf(0)
+    if mpf_lt(xm, from_float(_MP_SERIES_CUT)):
+        p = mpf_add(mpf_mul(mpf_e(prec, rnd), xm, prec, rnd), fone, prec, rnd)
+        p = mpf_sqrt(mpf_mul_int(p, 2, prec, rnd), prec, rnd)
+        t = [mpf_div(mpf_mul_int(mpf_pow_int(p, k, prec, rnd), c, prec, rnd), from_int(d),
+                     prec, rnd)  # c p^k / d; (-p^2)/3 is -(p^2/3), as negation is exact
+             for k, c, d in ((2, -1, 3), (3, 11, 72), (4, -43, 540), (5, 769, 17280))]
+        w = mpf_add(mpf_add(mpf_add(p, fnone, prec, rnd), t[0], prec, rnd), t[1], prec, rnd)
+        w = mpf_add(w, mpf_add(t[2], t[3], prec, rnd), prec, rnd)
+    else:
+        w = from_float(_float_seed(to_float(xm, rnd=rnd)))
+    for step in range(LAMBERT_MAX_STEPS):
+        ew = mpf_exp(w, prec, rnd)
+        f = mpf_sub(mpf_mul(w, ew, prec, rnd), xm, prec, rnd)
+        if step and mpf_le(mpf_abs(f, prec, rnd), _TOL):
+            break
+        wp1 = mpf_add(w, fone, prec, rnd)  # w - f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
+        c = mpf_div(mpf_mul(mpf_add(w, ftwo, prec, rnd), f, prec, rnd),
+                    mpf_mul_int(wp1, 2, prec, rnd), prec, rnd)
+        w = mpf_sub(w, mpf_div(f, mpf_sub(mpf_mul(ew, wp1, prec, rnd), c, prec, rnd),
+                               prec, rnd), prec, rnd)
+    else:
+        with mpmath.workdps(40):
             raise CrossCheckError(f"lambert_w failed to converge for x={x!r}")
-        return +w  # rounds to the working precision before leaving the context
+    return mpmath.mp.make_mpf(w)
 
 
 def H(g) -> float:
@@ -262,12 +277,15 @@ def H(g) -> float:
     elif isinstance(g, float) and g.is_integer():
         g_int = int(g)
     if g_int is not None:
-        n, g_n = equality_genera(g_int)[-1]  # g_int >= 0 = min_genus(1)
+        n = 1  # min_genus(1) = 0 <= g_int, and min_genus increases with n
+        while (g_n := min_genus(n)) < g_int:
+            n += 1
         if g_n == g_int:
             return float(n)
-    with mpmath.workdps(40):
-        x = (mpmath.mpf(g) - 1) * _LN2 / 2
-        return float(lambert_w(x) / _LN2 + 2)
+    x = mpf_pos(mpmath.mpf.mpf_convert_arg(g, _PREC, _RND), _PREC, _RND)  # mpmath.mpf(g)
+    x = mpf_div(mpf_mul(mpf_sub(x, fone, _PREC, _RND), _LN2, _PREC, _RND), ftwo, _PREC, _RND)
+    w = lambert_w(mpmath.mp.make_mpf(x))._mpf_
+    return to_float(mpf_add(mpf_div(w, _LN2, _PREC, _RND), ftwo, _PREC, _RND), rnd=_RND)
 
 
 @dataclass(frozen=True)

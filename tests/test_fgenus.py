@@ -3,20 +3,26 @@
 decompose is checked against a brute scan over all factorizations,
 lambert_w against mpmath's own implementation at 40 and 60 digits, H
 bit for bit against the float of mpmath's W at 80 digits, and the
-resolver's certificates against the covers they are built from. The
+resolver's certificates against the covers they are built from.
+lambert_w and H run on raw mpmath.libmp tuples; ``oracle_lambert_w`` and
+``oracle_H`` keep the same Halley loop written with mpf objects under
+``workdps(40)``, and both must agree bit for bit, on the known defect's
+genera too. The
 equality genera are tied back to the cubical surfaces themselves at
 the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from involab import fgenus
 from involab.action import max_free_rank
-from involab.errors import CapError, ValidationError
+from involab.errors import CapError, CrossCheckError, ValidationError
 from involab.fgenus import (
     MAX_FIGURE_G,
     H,
@@ -31,6 +37,11 @@ from involab.fgenus import (
 )
 from involab.rzk import build, genus
 from involab.scomplex import polygon_boundary
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+import workloads  # noqa: E402  (the bench's known-defect probe genera; needs the path above)
 
 OMEGA = 0.5671432904097838  # W(1)
 
@@ -218,20 +229,123 @@ def test_lambert_w_at_the_seed_switch_points_and_the_branch():
 
 def test_lambert_w_takes_one_40_digit_step(monkeypatch):
     """The float start leaves one Halley step to go: one exp for the
-    step and one for the residual test, at most, on every call."""
+    step and one for the residual test on every call, counted at the
+    mpf_exp that lambert_w calls."""
     calls = []
-    exp = mpmath.exp
+    mpf_exp = fgenus.mpf_exp
 
-    def counting_exp(w):
+    def counting_exp(w, prec, rnd):
         calls.append(w)
-        return exp(w)
+        return mpf_exp(w, prec, rnd)
 
-    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    monkeypatch.setattr(fgenus, "mpf_exp", counting_exp)
     for k in range(120):
         x = 1e-3 * (3e28) ** (k / 119)  # log-spaced over [1e-3, 3e25]
         calls.clear()
         lambert_w(x)
-        assert len(calls) <= 2, (x, len(calls))
+        assert len(calls) == 2, (x, len(calls))
+
+
+def oracle_lambert_w(x) -> mpmath.mpf:
+    """lambert_w as mpf expressions under workdps(40): the same start, stop
+    rule and messages, with mpmath's objects doing the arithmetic."""
+    with mpmath.workdps(40):
+        branch = -mpmath.exp(-1)
+        xm = mpmath.mpf(x)
+        if xm < branch:
+            if branch - xm < mpmath.mpf("1e-15"):
+                xm = branch
+            else:
+                raise ValidationError(
+                    f"lambert_w needs x >= -1/e = {float(branch)!r}, got {x!r}"
+                )
+        if xm == branch:
+            return mpmath.mpf(-1)
+        if xm == 0:
+            return mpmath.mpf(0)
+        if xm < fgenus._MP_SERIES_CUT:
+            p = mpmath.sqrt(2 * (mpmath.e * xm + 1))
+            w = -1 + p - p**2 / 3 + 11 * p**3 / 72
+            w += -43 * p**4 / 540 + 769 * p**5 / 17280
+        else:
+            w = mpmath.mpf(fgenus._float_seed(float(xm)))
+        for step in range(fgenus.LAMBERT_MAX_STEPS):
+            ew = mpmath.exp(w)
+            f = w * ew - xm
+            if step and abs(f) <= mpmath.mpf(fgenus.LAMBERT_TOL):
+                break
+            wp1 = w + 1
+            w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
+        else:
+            raise CrossCheckError(f"lambert_w failed to converge for x={x!r}")
+        return +w
+
+
+def oracle_H(g) -> float:
+    """H with the equality genera listed and W from ``oracle_lambert_w``."""
+    if g < 0:
+        raise ValidationError(f"H needs g >= 0, got {g!r}")
+    if isinstance(g, int) or (isinstance(g, float) and g.is_integer()):
+        n, g_n = equality_genera(int(g))[-1]
+        if g_n == g:
+            return float(n)
+    with mpmath.workdps(40):
+        ln2 = mpmath.log(2)
+        return float(oracle_lambert_w((mpmath.mpf(g) - 1) * ln2 / 2) / ln2 + 2)
+
+
+def outcome(f, arg):
+    """What f(arg) gives: its raw tuple or float, or its exception and message."""
+    try:
+        value = f(arg)
+    except (CrossCheckError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, mpmath.mpf):
+        return "mpf", value._mpf_
+    return type(value).__name__, value
+
+
+def test_lambert_w_matches_the_mpf_object_loop_bit_for_bit():
+    """Same raw tuple, or same exception and message, on the branch point
+    and below it, the 40-digit series cut, the seed's switch points and
+    log-spaced x up to 3e25 and past the known defect."""
+    cut = fgenus._MP_SERIES_CUT
+    e_inv = -1 / math.e
+    xs = [e_inv, -0.27, 3.0, cut, 0, 0.0, 1, -0.5, 1e27, 1e30, "0.25", mpmath.e]
+    for x0 in (e_inv, -0.27, 3.0, cut):
+        for d in (-1, 1):
+            x = x0
+            for _ in range(4):
+                x = math.nextafter(x, d)
+                xs.append(x)
+    xs += [e_inv + 10.0**-k for k in range(1, 17)]
+    xs += [cut + k * 1e-7 for k in range(-20, 21)]
+    xs += [-0.3678 + k * 0.0073 for k in range(60)]
+    xs += [1e-3 * (3e28) ** (k / 299) for k in range(300)]
+    with mpmath.workdps(40):
+        xs += [-mpmath.exp(-1), mpmath.mpf("-0.4"), mpmath.mpf(10) ** 26 / 3]
+    with mpmath.workdps(60):  # rounded to 40 digits on the way in
+        xs += [-mpmath.exp(-1) + mpmath.mpf("1e-15"), mpmath.mpf(1) / 3]
+    for x in xs:
+        assert outcome(lambert_w, x) == outcome(oracle_lambert_w, x), x
+
+
+def test_H_matches_the_mpf_object_loop_bit_for_bit():
+    genera = list(range(5001)) + [int(10 ** (26 * k / 399)) for k in range(400)]
+    genera += [2.5, 17.0, 1e20, 10**26 + 1]
+    for g in genera:
+        assert outcome(H, g) == outcome(oracle_H, g), g
+
+
+@pytest.mark.parametrize("seed", [1, 7, 41, 42])
+def test_H_known_defect_onset_is_unchanged(seed):
+    """On the genera the bench probes untimed, 1e26 to 1e30, H raises the
+    oracle's CrossCheckError message or returns its float, genus by genus."""
+    probes = [job.data["g"] for job in workloads.known_defect_probes("envelope", seed)]
+    assert len(probes) == 16
+    outcomes = [outcome(H, g) for g in probes]
+    assert outcomes == [outcome(oracle_H, g) for g in probes]
+    assert any(kind == "CrossCheckError" for kind, _ in outcomes)
 
 
 def H_by_lambert(g) -> float:

@@ -8,10 +8,13 @@ never changed), runs every job once through that tree's
 ``involab.cli.main`` (H jobs through its ``fgenus.H``), and prints one
 line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
-same seed shows whether a change altered any output byte. Two last
-lines do the same for ``rzk --m 3..20`` in both report formats and for
+same seed shows whether a change altered any output byte. Further
+lines do the same for ``rzk --m 3..20`` in both report formats, for
 eight fixed ``cover`` runs at n = 13..16, sizes that the seeded workloads
-do not reach.
+do not reach, for ``fgenus.H`` on the seed's untimed known-defect probes
+(genera 1e26 to 1e30, each giving a repr or the exception type and
+message, so the onset of the defect is compared too) and for
+``figure --gmax 5000``.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -104,6 +107,10 @@ def main() -> int:
                     for m in range(3, 21) for fmt in ("json", "text")]
         print(digest_line("rzk-m3-20", polygons, cli, fgenus))
         print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job), cli, fgenus))
+        probes = workloads.known_defect_probes("envelope", args.seed)
+        print(digest_line("H-probes", probes, cli, fgenus))
+        figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
+        print(digest_line("figure-5000", [figure], cli, fgenus))
     return 0
 
 
