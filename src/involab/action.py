@@ -16,6 +16,13 @@ no nonzero face of K lies in the span, which reducing each face by the
 echelon basis decides. The tests keep independent brute-force routes,
 scanning built cells for a fixed one and walking all 2^rank elements of
 the span, so the criterion never has to be taken on faith.
+
+The largest free rank is the real Buchstaber number s_R(K) = m - r
+(Fukukawa-Masuda 2011; Ayzenberg, arXiv:1003.0637), r the least
+dimension of a linear colouring: a map from K's vertices to GF(2)^r
+keeping every face independent, whose kernel acts freely (the quotient
+by a free subgroup is one). A colouring search gives r and the subgroup
+search stops at rank m - r, so the rank is certified from both sides.
 """
 
 from __future__ import annotations
@@ -103,11 +110,12 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
 
     Reduces each face by H's echelon basis: O(|K| rank), not 2^rank.
     """
+    rows = [(b.support, gf2.pivot(b.support)) for b in H.basis]
     for f in K.faces:
         rest = f
-        for b in H.basis:
-            if (rest >> gf2.pivot(b.support)) & 1:
-                rest ^= b.support
+        for b, p in rows:
+            if rest >> p & 1:
+                rest ^= b
         if f and not rest:
             return f
     return 0
@@ -156,38 +164,97 @@ def orientation_sign(C: CubicalSurface, g: SignElement) -> int:
     return -1 if g.support.bit_count() % 2 else 1
 
 
+def _colouring_dim(K: SimplicialComplex) -> int:
+    """The least r in which K has a linear colouring; s_R(K) = m - r.
+
+    Vertices are assigned in decreasing edge degree, each a value in the
+    span of those before or the next unit vector (breaking the GL(r)
+    symmetry) outside the span of the rest of every largest face that it
+    closes. r starts at dim K + 1 and at the bit length of a greedy
+    clique, which needs distinct nonzero values; one unit vector per
+    vertex always works.
+    """
+    faces, m = K.faces, K.m
+    nbr = [0] * m
+    for f in faces:
+        if f.bit_count() == 2:
+            nbr[f.bit_length() - 1] |= f & -f
+            nbr[(f & -f).bit_length() - 1] |= f & (f - 1)
+    order = sorted((v for v in range(m) if 1 << v in faces), key=lambda v: -nbr[v].bit_count())
+    pos, before, clique = [0] * m, [0], 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        before.append(before[i] | 1 << v)
+        if clique & nbr[v] == clique:  # v meets the whole clique so far
+            clique |= 1 << v
+    closing: list[list[int]] = [[] for _ in order]  # by position: the others' positions
+    for f in faces:
+        if f & (f - 1):
+            rest, g = [], f
+            while g:
+                rest.append(pos[(g & -g).bit_length() - 1])
+                g &= g - 1
+            rest.sort()
+            last = rest.pop()
+            grow = nbr[order[last]] & before[last] & ~f  # earlier vertices that may enlarge f
+            while grow and f | grow & -grow not in faces:
+                grow &= grow - 1
+            if not grow:
+                closing[last].append(rest)
+    value = [0] * len(order)  # by position
+
+    def assign(i: int, d: int, r: int) -> bool:
+        if i == len(order):
+            return True
+        forbidden = {0}
+        for rest in closing[i]:
+            span = [0]
+            for u in rest:
+                span += [x ^ value[u] for x in span]
+            forbidden.update(span)
+        for w in range(1, min((1 << d) + 1, 1 << r)):
+            if w not in forbidden:
+                value[i] = w
+                if assign(i + 1, d + (w >> d), r):
+                    return True
+        return False
+
+    r0 = max(K.dim + 1, clique.bit_count().bit_length())
+    return next((r for r in range(r0, len(order)) if assign(0, 0, r)), len(order))
+
+
 def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     """Largest rank of a freely acting subgroup, with a deterministic witness.
 
-    Branch and bound over canonical echelon bases: basis vectors are
-    chosen with strictly increasing pivots and zero bits on earlier
-    pivots, so each subspace is met exactly once; candidates at every
-    node are tried in increasing mask order, making the returned witness
+    ``_colouring_dim`` gives the rank m - r, and a branch and bound over
+    canonical echelon bases finds a free subgroup of that rank: basis
+    vectors have strictly increasing pivots and zero bits on earlier
+    pivots, so each subspace is met once; candidates at every node are
+    tried in increasing mask order, so the first basis of rank m - r is
     the first maximal one in that order. A candidate w with pivot p is
     refused when w + s is a face f for some s in the span so far: f has
     top bit p and s is the sum of the rows at the pivots in f, so one
     small set per node and pivot holds every refused candidate. A branch
-    is cut when too few pivot positions remain to beat the best rank
-    found, and the witness goes through cross_check_free.
+    is cut when too few pivots remain to reach m - r; reaching none
+    raises CrossCheckError, and the witness goes through cross_check_free.
     """
     if K.m > MAX_SEARCH_M:
         raise CapError(f"m={K.m} exceeds the free-rank search cap {MAX_SEARCH_M}")
     m = K.m
-    by_top = [[f for f in K.faces if f.bit_length() == p + 1] for p in range(m)]
-
-    best_rank = 0
-    best_basis: list[int] = []
+    target = m - _colouring_dim(K)
+    by_top: list[list[int]] = [[] for _ in range(m + 1)]  # by_top[p + 1]: faces with top bit p
+    for f in K.faces:
+        by_top[f.bit_length()].append(f)
     chosen: list[int] = []
     row = [0] * m  # row[q]: the chosen vector with pivot q, for q in pivot_mask
 
-    def extend(last_pivot: int, pivot_mask: int) -> None:
-        nonlocal best_rank, best_basis
+    def extend(last_pivot: int, pivot_mask: int) -> bool:
         rank = len(chosen)
-        for p in range(last_pivot + 1, m):
-            if rank + 1 + (m - 1 - p) <= best_rank:
-                break  # even taking every later pivot cannot beat the best
+        if rank == target:
+            return True
+        for p in range(last_pivot + 1, m - target + rank + 1):  # later pivots can reach it
             blocked = set()
-            for f in by_top[p]:
+            for f in by_top[p + 1]:
                 on = f & pivot_mask
                 while on:
                     q = on.bit_length() - 1
@@ -202,19 +269,19 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
                 if w not in blocked:
                     chosen.append(w)
                     row[p] = w
-                    if len(chosen) > best_rank:
-                        best_rank = len(chosen)
-                        best_basis = list(chosen)
-                    extend(p, pivot_mask | top)
+                    if extend(p, pivot_mask | top):
+                        return True
                     chosen.pop()
                 if sub == free:
                     break
                 sub = (sub - free) & free
+        return False
 
-    extend(-1, 0)
-    witness = Subgroup.from_generators(SignElement(v) for v in best_basis)
+    if not extend(-1, 0):
+        raise CrossCheckError(f"no free subgroup reaches the colouring bound {target}")
+    witness = Subgroup.from_generators(SignElement(v) for v in chosen)
     cross_check_free(K, witness)
-    return best_rank, witness
+    return target, witness
 
 
 def cross_check_free(K: SimplicialComplex, H: Subgroup) -> None:

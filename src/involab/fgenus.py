@@ -31,10 +31,10 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, fnone, fone, from_float, from_int, ftwo, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest,
-                          to_float)
+from mpmath.libmp import (dps_to_prec, finf, fnan, fnone, fone, from_float, from_int, ftwo, fzero,
+                          mpf_abs, mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub,
+                          round_nearest, to_float)
 
 from . import gf2
 from .cover import build_cover, presentation
@@ -222,10 +222,12 @@ def lambert_w(x) -> mpmath.mpf:
     the start is the branch series to p^5 at 40 digits; there 40 digits
     pin W only to about 1e-41 / (1 + W). Stops once the residual is at
     most LAMBERT_TOL; raises CrossCheckError if that takes more than
-    LAMBERT_MAX_STEPS steps, and ValidationError below -1/e.
+    LAMBERT_MAX_STEPS steps, and ValidationError below -1/e, at inf and nan.
     """
     prec, rnd = _PREC, _RND
     xm = mpf_pos(mpmath.mpf.mpf_convert_arg(x, prec, rnd), prec, rnd)  # mpmath.mpf(x)
+    if xm in (finf, fnan):
+        raise ValidationError(f"lambert_w needs a finite x, got {x!r}")
     if mpf_lt(xm, _BRANCH):
         if mpf_lt(mpf_sub(_BRANCH, xm, prec, rnd), _BRANCH_SLACK):
             xm = _BRANCH  # rounding slack for callers handing us float(-1/e)
@@ -269,8 +271,8 @@ def H(g) -> float:
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
     and is returned exactly (big-integer detection, no floats involved).
     """
-    if g < 0:
-        raise ValidationError(f"H needs g >= 0, got {g!r}")
+    if not 0 <= g < math.inf:  # also refuses nan
+        raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
     g_int = None
     if isinstance(g, int):
         g_int = g

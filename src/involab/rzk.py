@@ -155,17 +155,19 @@ class SurfaceReport:
 
 def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
     """Whether the arcs, each a two-bit mask, form one cycle through all
-    the nodes, each a single bit."""
-    ends = sorted(b for arc in arcs for b in (arc & -arc, arc & (arc - 1)))
-    if not nodes or ends != sorted(nodes * 2):
+    the nodes, each a single bit; O(nodes + arcs)."""
+    ends: dict[int, list[int]] = {b: [] for b in nodes}
+    for arc in arcs:
+        for b in (arc & -arc, arc & (arc - 1)):
+            ends.setdefault(b, []).append(arc ^ b)
+    if not nodes or len(ends) > len(nodes) or any(len(e) != 2 for e in ends.values()):
         return False
-    # every node has degree 2, so the arcs form disjoint cycles: one must reach all
-    reached = nodes[0]
-    for _ in nodes:
-        for arc in arcs:
-            if arc & reached:
-                reached |= arc
-    return reached == sum(nodes)
+    # every node has degree 2, so the arcs form disjoint cycles: walk the one at nodes[0]
+    prev, here, length = nodes[0], ends[nodes[0]][0], 1
+    while here != nodes[0]:
+        a, b = ends[here]
+        prev, here, length = here, b if a == prev else a, length + 1
+    return length == len(nodes)
 
 
 def _edge_words(C: CubicalSurface) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:

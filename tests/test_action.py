@@ -7,6 +7,8 @@ GF(2)^m (completeness of the enumeration is itself certified against
 the Gaussian binomial counts) and checking each span element by hand.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +273,18 @@ def test_max_free_rank_deterministic_witness():
     r2, w2 = max_free_rank(K)
     assert (r1, w1.basis_vertex_lists()) == (r2, w2.basis_vertex_lists())
     assert w1.basis_vertex_lists() == [[1, 3], [2, 4], [1, 2, 5]]
+
+
+def test_complete_graphs_stop_at_the_colouring_bound():
+    # K_m needs m distinct nonzero values, so the rank is m - ceil(log2(m + 1));
+    # without that bound the search spent more than 30 s proving it from m = 16
+    start = time.perf_counter()
+    for m in range(16, 25):
+        K = from_facets(m, [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)])
+        rank, witness = max_free_rank(K)
+        assert rank == m - m.bit_length() == witness.rank
+        assert is_free_subgroup(K, witness)
+    assert time.perf_counter() - start < 5
 
 
 def test_max_free_rank_cap():

@@ -7,18 +7,29 @@ scans all of it for every candidate. It walks the same candidates in
 the same order, so the rank, the echelon basis and the generators of
 the fast search must all equal its own on every complex.
 
+The fast search stops at rank m - r, where r is the least dimension of
+a linear colouring (``action._colouring_dim``), so its optimality rests
+on the colouring search. The Hypothesis test below compares it with
+this exhaustive oracle on random complexes with ghost vertices, graphs
+are checked against the chromatic number (s_R = m - ceil(log2(chi + 1))),
+and a colouring bound one too high must end in CrossCheckError.
+
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
 ``is_free_subgroup`` did before it reduced the faces by the subgroup's
 echelon basis instead.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from involab import gf2
+from involab import action, gf2
 from involab.action import SignElement, Subgroup, is_free_subgroup, max_free_rank
+from involab.errors import CrossCheckError
 from involab.scomplex import SimplicialComplex, from_facets
 
 
@@ -105,14 +116,19 @@ def _random_complex(kind, rng):
         if rng.random() < 0.5:
             return from_facets(m, _cycle(used))
         return from_facets(m, [rng.sample(used, 3) for _ in range(2)])
+    if kind == "skeleton":  # the k-faces of a simplex, all or most of them
+        m, full = rng.randint(3, 8), rng.random() < 0.5
+        tops = itertools.combinations(range(1, m + 1), rng.randint(2, m - 1))
+        return from_facets(m, [t for t in tops if full or rng.random() < 0.9])
     if kind == "empty":
         return SimplicialComplex(rng.randint(1, 13))
     m = rng.randint(1, 10)  # the full simplex
     return from_facets(m, [range(1, m + 1)])
 
 
-# 502 complexes in all, at most 13 vertices
-KINDS = {"polygon": 120, "sparse": 160, "graph": 120, "ghost": 80, "empty": 12, "simplex": 10}
+# 532 complexes in all, at most 13 vertices
+KINDS = {"polygon": 120, "sparse": 160, "graph": 120, "ghost": 80, "skeleton": 30, "empty": 12,
+         "simplex": 10}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -140,3 +156,63 @@ def test_freeness_agrees_with_the_span_walk(kind):
         verdicts.add(verdict)
     if kind not in ("empty", "simplex"):
         assert verdicts == {True, False}  # both answers were exercised
+
+
+@st.composite
+def complexes_with_ghosts(draw):
+    """At most 10 vertices, facets of at most 4; vertices in no facet are ghosts."""
+    m = draw(st.integers(0, 10))
+    if not m:
+        return SimplicialComplex(0)
+    facet = st.sets(st.integers(1, m), min_size=1, max_size=min(m, 4))
+    return from_facets(m, draw(st.lists(facet, max_size=3 * m)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(complexes_with_ghosts())
+def test_search_stopped_by_the_colouring_agrees_with_the_exhaustive_search(K):
+    rank, witness = max_free_rank(K)
+    want_rank, want_basis = oracle_max_free_rank(K)
+    assert rank == want_rank
+    assert [g.support for g in witness.generators] == want_basis
+    assert [b.support for b in witness.basis] == gf2.rref(want_basis)
+
+
+def chromatic_number(edges, vertices):
+    """Fewest colours of a proper colouring of the graph on ``vertices``,
+    by trying every colouring that opens colours in vertex order."""
+    def colourable(k, colour):
+        if len(colour) == len(vertices):
+            return True
+        v = vertices[len(colour)]
+        for c in range(min(k, max(colour.values(), default=-1) + 2)):
+            if all(colour.get(b if a == v else a) != c for a, b in edges if v in (a, b)):
+                if colourable(k, {**colour, v: c}):
+                    return True
+        return False
+
+    return next(k for k in range(len(vertices) + 1) if colourable(k, {}))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_graphs_follow_the_chromatic_number(m):
+    rng = random.Random(f"chromatic-{m}")
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    for _ in range(25):
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        vertices = sorted({v for e in edges for v in e}
+                          | set(rng.sample(range(1, m + 1), rng.randint(0, m))))
+        K = from_facets(m, [(v,) for v in vertices] + edges)
+        chi = chromatic_number(edges, vertices)  # chi.bit_length() == ceil(log2(chi + 1))
+        assert max_free_rank(K)[0] == m - chi.bit_length(), (m, vertices, edges)
+
+
+@pytest.mark.parametrize("K", [from_facets(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]),
+                               from_facets(7, [(1, 2, 3), (3, 4), (5,)]),
+                               SimplicialComplex(4)], ids=["hexagon", "mixed", "empty"])
+def test_a_colouring_bound_above_the_free_rank_is_caught(K, monkeypatch):
+    colouring_dim = action._colouring_dim
+    r = colouring_dim(K)
+    monkeypatch.setattr(action, "_colouring_dim", lambda K: colouring_dim(K) - 1)
+    with pytest.raises(CrossCheckError, match=f"bound {K.m - r + 1}$"):
+        max_free_rank(K)

@@ -398,6 +398,20 @@ def test_H_rejects_negative():
         H(-2)
 
 
+@pytest.mark.parametrize("g", [float("inf"), float("nan"), mpmath.inf, mpmath.nan])
+def test_H_rejects_a_non_finite_genus_up_front(g, monkeypatch):
+    monkeypatch.setattr(fgenus, "lambert_w", None)  # refused before any Halley step
+    with pytest.raises(ValidationError, match="finite"):
+        H(g)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("nan"), mpmath.inf, mpmath.nan])
+def test_lambert_w_rejects_a_non_finite_x(x, monkeypatch):
+    monkeypatch.setattr(fgenus, "mpf_exp", None)  # refused before any Halley step
+    with pytest.raises(ValidationError, match="finite"):
+        lambert_w(x)
+
+
 def test_figure_rows():
     rows = figure1_data(9)
     assert [r.g for r in rows] == list(range(10))

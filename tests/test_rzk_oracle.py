@@ -7,6 +7,8 @@ breadth-first searches over every square. They are kept here, apart from
 the package, so that every report flag, every orientability verdict and
 the per-square signs that ``square_signs`` expands from ``rzk``'s
 per-face sigma are compared with them on seeded random complexes.
+``oracle_link_is_single_cycle`` is the repeated arc sweep that
+``rzk._link_is_single_cycle`` ran before it walked the cycle.
 
 ``boundary`` and ``_edge_direction`` are the per-cell geometry of the
 squares; the closed-form cell counts are compared with the enumerated
@@ -19,7 +21,7 @@ from collections import deque
 import pytest
 
 from involab.errors import NotASurfaceError
-from involab.rzk import Cell, build, orientability, verify_closed_surface
+from involab.rzk import Cell, _link_is_single_cycle, build, orientability, verify_closed_surface
 from involab.scomplex import SimplicialComplex, from_facets
 
 
@@ -249,3 +251,59 @@ def test_small_and_three_dimensional_complexes_match_the_cells(K):
     C = build(K)
     _assert_indexed_surface_matches_cells(C)
     assert C.dim == max(f.bit_count() for f in K.faces)
+
+
+def oracle_link_is_single_cycle(nodes, arcs):
+    """One cycle through all the nodes: degree 2 everywhere, and one node's
+    reach grown by sweeping every arc once per node covers them all."""
+    ends = sorted(b for arc in arcs for b in (arc & -arc, arc & (arc - 1)))
+    if not nodes or ends != sorted(nodes * 2):
+        return False
+    reached = nodes[0]
+    for _ in nodes:
+        for arc in arcs:
+            if arc & reached:
+                reached |= arc
+    return reached == sum(nodes)
+
+
+def _random_link(kind, rng):
+    """(nodes, arcs): unit bits in random order, and arcs as two-bit masks."""
+    n = rng.randint(6, 40)
+    bits = [1 << b for b in rng.sample(range(64), n)]
+    if kind == "cycle":
+        arcs = [a | b for a, b in _cycle(bits)]
+    elif kind == "cycles":  # two or more disjoint cycles through every node
+        arcs, start = [], 0
+        while n - start >= 6 and (start == 0 or rng.random() < 0.5):
+            cut = rng.randint(start + 3, n - 3)
+            arcs += [a | b for a, b in _cycle(bits[start:cut])]
+            start = cut
+        arcs += [a | b for a, b in _cycle(bits[start:])]
+    else:  # a cycle with an arc dropped, added or bent outside, or a cycle outside added
+        arcs = [a | b for a, b in _cycle(bits)]
+        change = rng.randrange(4)
+        if change == 0:
+            arcs.pop(rng.randrange(n))
+        elif change == 1:
+            a, b = rng.sample(bits, 2)
+            arcs.append(a | b)
+        elif change == 2:
+            k = rng.randrange(n)
+            arcs[k] = (arcs[k] & -arcs[k]) | 1 << 64
+        else:
+            arcs += [a | b for a, b in _cycle([1 << 64, 1 << 65, 1 << 66])]
+    rng.shuffle(arcs)
+    rng.shuffle(bits)
+    return bits, arcs
+
+
+@pytest.mark.parametrize("kind", ["cycle", "cycles", "broken"])
+def test_link_walk_agrees_with_the_arc_sweep(kind):
+    rng = random.Random(f"link-oracle-{kind}")
+    for _ in range(300):
+        nodes, arcs = _random_link(kind, rng)
+        want = oracle_link_is_single_cycle(nodes, arcs)
+        assert _link_is_single_cycle(nodes, arcs) == want, (nodes, arcs)
+        assert want == (kind == "cycle"), (nodes, arcs)
+    assert not _link_is_single_cycle([], []) and not oracle_link_is_single_cycle([], [])

@@ -10,8 +10,11 @@ line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
 same seed shows whether a change altered any output byte. Further
 lines do the same for ``rzk --m 3..20`` in both report formats, for
-eight fixed ``cover`` runs at n = 13..16, sizes that the seeded workloads
-do not reach, for ``fgenus.H`` on the seed's untimed known-defect probes
+eight fixed ``cover`` runs at n = 13..16 and for ``free-rank --witness
+--json`` on the complete graphs K_12..K_15 and on eight complexes of
+three triangles plus m edges, drawn from the seed, at each m = 16..20,
+sizes that the seeded workloads do not reach, for ``fgenus.H`` on the
+seed's untimed known-defect probes
 (genera 1e26 to 1e30, each giving a repr or the exception type and
 message, so the onset of the defect is compared too) and for
 ``figure --gmax 5000``.
@@ -26,7 +29,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -85,6 +90,27 @@ def large_cover_jobs(Job) -> list:
     return jobs
 
 
+def large_free_rank_jobs(Job, seed: int) -> list:
+    rng = random.Random(f"free-rank-large-{seed}")
+
+    def distinct(m: int, size: int, count: int) -> list[tuple[int, ...]]:
+        out: set[tuple[int, ...]] = set()
+        while len(out) < count:
+            out.add(tuple(sorted(rng.sample(range(1, m + 1), size))))
+        return sorted(out)
+
+    inputs = [(m, list(itertools.combinations(range(1, m + 1), 2))) for m in range(12, 16)]
+    inputs += [(m, distinct(m, 3, 3) + distinct(m, 2, m)) for m in range(16, 21) for _ in range(8)]
+    jobs = []
+    for k, (m, facets) in enumerate(inputs):
+        path = Path(f"large-free-rank-{k}.txt")
+        path.write_text(f"{m}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets),
+                        encoding="utf-8")
+        jobs.append(Job("large-free-rank", ("free-rank", "--complex", str(path), "--witness",
+                                            "--json"), "free_rank"))
+    return jobs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the tree's src directory")
@@ -107,6 +133,8 @@ def main() -> int:
                     for m in range(3, 21) for fmt in ("json", "text")]
         print(digest_line("rzk-m3-20", polygons, cli, fgenus))
         print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job), cli, fgenus))
+        print(digest_line("free-rank-large", large_free_rank_jobs(workloads.Job, args.seed),
+                          cli, fgenus))
         probes = workloads.known_defect_probes("envelope", args.seed)
         print(digest_line("H-probes", probes, cli, fgenus))
         figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
