@@ -34,18 +34,19 @@ from .cover import (
     presentation,
     prop2_tower,
 )
-from .fgenus import (
-    FValue,
-    GenusDecomposition,
-    H,
-    decompose,
-    equality_genera,
-    f_bounds,
-    f_exact,
-    figure1_data,
-    lambert_w,
-    min_genus,
-)
+
+# the fgenus names load mpmath, so they are resolved on first use (PEP 562)
+_FGENUS = {"FValue", "GenusDecomposition", "H", "decompose", "equality_genera", "f_bounds",
+           "f_exact", "figure1_data", "lambert_w", "min_genus"}
+
+
+def __getattr__(name: str):
+    if name in _FGENUS:
+        from . import fgenus
+
+        return getattr(fgenus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SimplicialComplex",

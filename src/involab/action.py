@@ -27,8 +27,7 @@ search stops at rank m - r, so the rank is certified from both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
@@ -38,8 +37,7 @@ from .scomplex import SimplicialComplex, mask_of, vertices_of
 MAX_SEARCH_M = 24  # max_free_rank explores subspaces of GF(2)^m; refuse bigger m
 
 
-@dataclass(frozen=True)
-class SignElement:
+class SignElement(NamedTuple):
     """Group element, identified by its support bitmask (bit i-1 = vertex i)."""
 
     support: int
@@ -79,8 +77,7 @@ def has_fixed_point(K: SimplicialComplex, g: SignElement) -> bool:
     return K.contains_mask(g.support)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup of (Z/2)^m given by independent generators.
 
     ``generators`` is whatever the caller supplied (order preserved);

@@ -12,6 +12,10 @@ inputs; everything diagnostic goes to stderr. Exit codes: 0 success,
 the same answer disagreed (CrossCheckError, a bug in the package).
 Every cap is a fixed module constant, checked before the allocation it
 guards; no flag or environment variable moves one.
+
+Only ``f`` and ``figure`` use the genus arithmetic, so they import
+``fgenus`` (and with it mpmath) when they run; the other subcommands
+start without loading either.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import functools
 import json
 import sys
 
-from . import action, cover, fgenus, rzk, scomplex
+from . import action, cover, rzk, scomplex
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 
 EXIT_OK = 0
@@ -76,6 +80,8 @@ def cmd_free_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_f(args: argparse.Namespace) -> int:
+    from . import fgenus
+
     if args.g < 0:
         raise ValidationError(f"--g must be nonnegative, got {args.g}")
     if not args.exact:
@@ -113,6 +119,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from . import fgenus
+
     # --threads is still accepted so that existing scripts keep working;
     # rows are always computed serially
     if args.threads < 1:

@@ -24,8 +24,7 @@ the deck group; a disagreement raises instead of returning anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import gf2
 from .errors import CapError, CrossCheckError, ValidationError
@@ -34,8 +33,7 @@ MAX_COVER_RANK = 20  # the report's ints are 2^n-sized; Python prints none over 
 MAX_GENERATORS = 1 << 16  # the base word is materialized; refuse more generators
 
 
-@dataclass(frozen=True)
-class SurfacePresentation:
+class SurfacePresentation(NamedTuple):
     """One-vertex polygon presentation of a closed surface of genus >= 1."""
 
     orientable: bool
@@ -91,8 +89,7 @@ def _validate_phi(B: SurfacePresentation, phi: Sequence[int]) -> tuple[int, ...]
     return rows
 
 
-@dataclass(frozen=True)
-class CoverComplex:
+class CoverComplex(NamedTuple):
     """A classified regular cover: 2^n sheets over a one-polygon base.
 
     Cells are indexed, never stored: vertex q and face q run over range(2^n),

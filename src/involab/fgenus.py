@@ -28,7 +28,7 @@ tuples, without mpf objects or precision contexts) from a float64 start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (dps_to_prec, finf, fnan, fnone, fone, from_float, from_int, ftwo, fzero,
@@ -45,8 +45,7 @@ MAX_SHEETS = 1 << 16  # nor a cover with a deck group larger than this
 MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.3 ms
 
 
-@dataclass(frozen=True)
-class GenusDecomposition:
+class GenusDecomposition(NamedTuple):
     """chi = a * 2^n with n maximal under a <= 1 and n <= 2 - a."""
 
     g: int
@@ -75,8 +74,7 @@ def decompose(g: int) -> GenusDecomposition:
     raise CrossCheckError(f"no valid decomposition for chi={chi}")  # unreachable
 
 
-@dataclass(frozen=True)
-class FValue:
+class FValue(NamedTuple):
     """Bounds (and possibly the exact value) of f at one genus.
 
     ``method`` records how an exact value was, or would be, obtained:
@@ -290,8 +288,7 @@ def H(g) -> float:
     return to_float(mpf_add(mpf_div(w, _LN2, _PREC, _RND), ftwo, _PREC, _RND), rnd=_RND)
 
 
-@dataclass(frozen=True)
-class FigureRow:
+class FigureRow(NamedTuple):
     g: int
     f_lower: int
     f_upper: int

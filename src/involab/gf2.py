@@ -27,17 +27,19 @@ def rref(vectors: Iterable[int]) -> list[int]:
     Returns rows sorted by pivot ascending; the zero vector contributes
     nothing. Independent of input order and multiplicity.
     """
-    basis: list[int] = []  # kept fully reduced, sorted by pivot ascending
+    # kept fully reduced and sorted ascending: the pivots are distinct
+    # highest bits, so value order is pivot order
+    basis: list[int] = []
     for v in vectors:
         for b in basis:
-            if (v >> pivot(b)) & 1:
+            if v >> (b.bit_length() - 1) & 1:
                 v ^= b
         if v == 0:
             continue
         p = pivot(v)
         basis = [b ^ v if (b >> p) & 1 else b for b in basis]
         basis.append(v)
-        basis.sort(key=pivot)
+        basis.sort()
     return basis
 
 

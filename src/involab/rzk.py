@@ -24,7 +24,6 @@ asserted, so the convention itself is not load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import glue
@@ -136,8 +135,7 @@ def polygon_genus(m: int) -> int:
     return 1 + (1 << (m - 3)) * (m - 4)
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     """Outcome of the closed-surface checks, one flag per condition."""
 
     edges_in_two_squares: bool
@@ -156,11 +154,13 @@ class SurfaceReport:
 def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
     """Whether the arcs, each a two-bit mask, form one cycle through all
     the nodes, each a single bit; O(nodes + arcs)."""
+    if not nodes or len(arcs) != len(nodes):  # a cycle has as many arcs as nodes
+        return False
     ends: dict[int, list[int]] = {b: [] for b in nodes}
     for arc in arcs:
         for b in (arc & -arc, arc & (arc - 1)):
             ends.setdefault(b, []).append(arc ^ b)
-    if not nodes or len(ends) > len(nodes) or any(len(e) != 2 for e in ends.values()):
+    if len(ends) > len(nodes) or any(len(e) != 2 for e in ends.values()):
         return False
     # every node has degree 2, so the arcs form disjoint cycles: walk the one at nodes[0]
     prev, here, length = nodes[0], ends[nodes[0]][0], 1
@@ -190,10 +190,13 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     """
     if C.dim > 2:
         raise ValidationError(f"closed-surface checks support dimension <= 2, got {C.dim}")
-    # edge Cell(b, t) bounds one square per neighbour of b, and only K's
-    # vertices are used, so all of them used twice means every edge in two
-    _, uses = _edge_words(C)
-    edges_ok = sum(len(u) == 2 for u in uses) == len(C.faces(1))
+    # edge Cell(b, t) bounds one square per edge of K at b, so every edge
+    # lies in two squares iff every vertex of K lies in two edges of K
+    degree = [0] * C.m
+    for e in C.faces(2):
+        degree[e.bit_length() - 1] += 1
+        degree[(e & -e).bit_length() - 1] += 1
+    edges_ok = degree.count(2) == len(C.faces(1))
 
     # The link at vertex 0 stands for all: a node per edge Cell(v, 0), named
     # by its free bit, and an arc per square Cell(e, 0); that is K's 1-skeleton.

@@ -11,8 +11,7 @@ appears in no face (not even as a singleton) is legal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapError, ValidationError
 
@@ -47,8 +46,12 @@ def _downward_closure(facets: list[int]) -> frozenset[int]:
     return frozenset(faces)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class _Complex(NamedTuple):  # a NamedTuple body may not define __new__; the subclass checks
+    m: int
+    faces: frozenset[int]
+
+
+class SimplicialComplex(_Complex):
     """A downward-closed face set over m ambient vertices.
 
     ``faces`` always contains 0 (the empty face). Equality and hashing are
@@ -56,17 +59,17 @@ class SimplicialComplex:
     they guarantee the closure invariant.
     """
 
-    m: int
-    faces: frozenset[int] = field(default_factory=lambda: frozenset({0}))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __new__(cls, m: int, faces: frozenset[int] = frozenset({0})) -> SimplicialComplex:
+        if m < 0:
             raise ValidationError("m must be nonnegative")
-        for f in self.faces:
-            if f >> self.m:
+        for f in faces:
+            if f >> m:
                 raise ValidationError("face mask exceeds ambient vertex set")
-        if 0 not in self.faces:
+        if 0 not in faces:
             raise ValidationError("the empty face must be present")
+        return super().__new__(cls, m, faces)
 
     @property
     def dim(self) -> int:

@@ -1,0 +1,158 @@
+"""The package's import contract and its value types.
+
+``rzk``, ``free-rank`` and ``cover`` never touch the genus arithmetic,
+so a fresh interpreter that runs them through ``involab.cli.main`` must
+load neither ``involab.fgenus`` nor mpmath, and no module of the
+package loads ``dataclasses``. The ``fgenus`` names are still reachable
+from the package, resolved on first use.
+
+The value types are NamedTuples: frozen, structurally equal and
+hashed, with the ``Name(field=value, ...)`` repr that error messages
+print.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import involab
+from involab.action import SignElement, lemma_generators
+from involab.cover import build_cover, presentation
+from involab.errors import ValidationError
+from involab.fgenus import FigureRow, FValue, GenusDecomposition, _figure_row, decompose, f_exact
+from involab.rzk import SurfaceReport, build, verify_closed_surface
+from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
+
+SRC = Path(involab.__file__).resolve().parent.parent
+NOT_LOADED = ("mpmath", "involab.fgenus", "dataclasses")
+
+
+def _fresh(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_import_loads_no_genus_arithmetic():
+    code = f"import sys, involab.cli; print([m for m in {NOT_LOADED!r} if m in sys.modules])"
+    assert _fresh(code) == "[]\n"
+
+
+def test_rzk_free_rank_and_cover_load_no_genus_arithmetic(tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0 0\n0 1 0 0\n")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from involab.cli import main\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(main(['rzk', '--m', '6']))\n"
+        "    codes.append(main(['free-rank', '--m', '6', '--witness']))\n"
+        "    codes.append(main(['cover', '--orientable', 'true', '--genus', '2',"
+        " '--phi', sys.argv[1]]))\n"
+        f"print(json.dumps([codes, [m for m in {NOT_LOADED!r} if m in sys.modules]]))\n"
+    )
+    assert json.loads(_fresh(code, str(phi))) == [[0, 0, 0], []]
+
+
+@pytest.mark.parametrize("argv", [["f", "--g", "3"], ["figure", "--gmax", "3"]])
+def test_f_and_figure_load_the_genus_arithmetic_on_first_use(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from involab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'involab.fgenus' in sys.modules, 'dataclasses' in sys.modules)\n"
+    )
+    assert _fresh(code, *argv) == "0 True False\n"
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace: dict = {}
+    exec("from involab import *", namespace)
+    assert set(involab.__all__) <= set(namespace)
+    for name in involab.__all__:
+        assert namespace[name] is getattr(involab, name)
+
+
+def test_lazy_names_are_the_fgenus_objects():
+    from involab import fgenus
+
+    assert involab.H is fgenus.H and involab.f_exact is fgenus.f_exact
+    for name in ("FValue", "GenusDecomposition", "H", "decompose", "equality_genera",
+                 "f_bounds", "f_exact", "figure1_data", "lambert_w", "min_genus"):
+        assert name in involab.__all__ and getattr(involab, name) is getattr(fgenus, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        involab.no_such_name
+    assert not hasattr(involab, "figure_csv")  # fgenus keeps its other names
+
+
+VALUES = [
+    polygon_boundary(5),
+    verify_closed_surface(build(polygon_boundary(4))),
+    SignElement(0b101),
+    lemma_generators(6),
+    presentation(False, 3),
+    build_cover(presentation(True, 1), [0b01, 0b10]),
+    decompose(9),
+    f_exact(3),
+    _figure_row(5),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_refuse_assignment(value):
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_compare_and_hash_by_their_fields(value):
+    cls = type(value)
+    twin = cls(*[getattr(value, f) for f in cls._fields])
+    assert twin == value and twin is not value
+    if cls is not FValue:  # its certificate is a dict, so it never hashed
+        assert hash(twin) == hash(value) and len({twin, value}) == 1
+    assert repr(twin) == repr(value)
+    assert repr(value).startswith(f"{cls.__name__}({cls._fields[0]}=")
+
+
+def test_complexes_hash_structurally():
+    assert len({from_facets(3, [[1, 2]]), from_facets(3, [[2, 1]])}) == 1
+    assert from_facets(3, [[1, 2]]) != from_facets(4, [[1, 2]])
+
+
+def test_simplicial_complex_still_validates():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        SimplicialComplex(-1)
+    with pytest.raises(ValidationError, match="exceeds"):
+        SimplicialComplex(2, frozenset({0, 0b100}))
+    with pytest.raises(ValidationError, match="empty face"):
+        SimplicialComplex(2, frozenset({0b1}))
+    assert SimplicialComplex(3) == SimplicialComplex(m=3, faces=frozenset({0}))
+    assert repr(SimplicialComplex(1)) == "SimplicialComplex(m=1, faces=frozenset({0}))"
+
+
+def test_surface_report_repr_is_unchanged():
+    report = SurfaceReport(True, False, True)
+    assert repr(report) == ("SurfaceReport(edges_in_two_squares=True, "
+                            "vertex_links_single_cycle=False, connected=True)")
+    assert not report.closed_surface
+
+
+def test_fgenus_rows_keep_their_fields():
+    assert repr(decompose(9)) == "GenusDecomposition(g=9, chi=-16, a=-2, n=3)"
+    assert repr(_figure_row(5)) == ("FigureRow(g=5, f_lower=2, f_upper=3, f_exact=3, H=3.0, "
+                                    "equality=True)")
+    assert _figure_row(5) == FigureRow(5, 2, 3, 3, 3.0, True)

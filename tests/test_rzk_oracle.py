@@ -8,7 +8,11 @@ the package, so that every report flag, every orientability verdict and
 the per-square signs that ``square_signs`` expands from ``rzk``'s
 per-face sigma are compared with them on seeded random complexes.
 ``oracle_link_is_single_cycle`` is the repeated arc sweep that
-``rzk._link_is_single_cycle`` ran before it walked the cycle.
+``rzk._link_is_single_cycle`` ran before it walked the cycle, and
+``oracle_word_flags`` is ``verify_closed_surface`` as it was before the
+edge check read K's vertex degrees: it wrote every edge word and counted
+the uses of each vertex id with ``glue.edge_uses``. It lists no cell, so
+it is compared on complexes too large for the Cell-keyed oracle.
 
 ``boundary`` and ``_edge_direction`` are the per-cell geometry of the
 squares; the closed-form cell counts are compared with the enumerated
@@ -20,7 +24,8 @@ from collections import deque
 
 import pytest
 
-from involab.errors import NotASurfaceError
+from involab import glue
+from involab.errors import NotASurfaceError, ValidationError
 from involab.rzk import Cell, _link_is_single_cycle, build, orientability, verify_closed_surface
 from involab.scomplex import SimplicialComplex, from_facets
 
@@ -307,3 +312,60 @@ def test_link_walk_agrees_with_the_arc_sweep(kind):
         assert _link_is_single_cycle(nodes, arcs) == want, (nodes, arcs)
         assert want == (kind == "cycle"), (nodes, arcs)
     assert not _link_is_single_cycle([], []) and not oracle_link_is_single_cycle([], [])
+
+
+def oracle_word_flags(C):
+    """(edges_in_two_squares, vertex_links_single_cycle, connected) from
+    K's edge words; ValidationError above dimension 2."""
+    if C.dim > 2:
+        raise ValidationError(f"closed-surface checks support dimension <= 2, got {C.dim}")
+    words = [((e.bit_length() - 1, 1), ((e & -e).bit_length() - 1, -1)) for e in C.faces(2)]
+    uses = glue.edge_uses(words, C.m)
+    edges_ok = sum(len(u) == 2 for u in uses) == len(C.faces(1))
+    return edges_ok, _link_is_single_cycle(C.faces(1), C.faces(2)), len(C.faces(1)) == C.m
+
+
+def _outcome(check, C):
+    try:
+        return tuple(check(C))
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+
+
+def _large_complex(kind, rng):
+    m = rng.randint(3, 60)
+    order = rng.sample(range(1, m + 1), m)
+    if kind == "polygon":
+        return m, _cycle(order)
+    if kind == "ghost":  # a polygon on some vertices, possibly with a vertex in no edge
+        cycle = _cycle(order[: rng.randint(3, m)])
+        return m, cycle + [(v,) for v in order if rng.random() < 0.3]
+    if kind == "graph":  # random edges, some on a vertex of degree 2
+        pairs = {tuple(sorted(rng.sample(order, 2))) for _ in range(rng.randint(0, 2 * m))}
+        return m, [(v,) for v in order if rng.random() < 0.8] + sorted(pairs)
+    return m, _cycle(order) + [tuple(rng.sample(order, 3)) for _ in range(rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("kind", ["polygon", "ghost", "graph", "triangle"])
+def test_degree_count_agrees_with_the_edge_words(kind):
+    rng = random.Random(f"word-flags-{kind}")
+    seen = set()
+    for _ in range(150):
+        m, facets = _large_complex(kind, rng)
+        C = build(from_facets(m, facets))
+        want = _outcome(oracle_word_flags, C)
+        assert _outcome(verify_closed_surface, C) == want, (m, facets)
+        seen.add(want)
+    # each kind reaches the outcomes it should, so no flag is vacuous
+    reached = {
+        "polygon": {(True, True, True)},
+        "ghost": {(True, True, False), (False, False, False), (False, False, True)},
+        "graph": {(False, False, True), (False, False, False)},
+        "triangle": {(ValidationError, "closed-surface checks support dimension <= 2, got 3")},
+    }
+    assert reached[kind] <= seen, seen
+
+def test_complete_graph_flags_match_the_edge_words():
+    m = 40
+    C = build(from_facets(m, [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]))
+    assert tuple(verify_closed_surface(C)) == oracle_word_flags(C) == (False, False, True)

@@ -16,8 +16,9 @@ three triangles plus m edges, drawn from the seed, at each m = 16..20,
 sizes that the seeded workloads do not reach, for ``fgenus.H`` on the
 seed's untimed known-defect probes
 (genera 1e26 to 1e30, each giving a repr or the exception type and
-message, so the onset of the defect is compared too) and for
-``figure --gmax 5000``.
+message, so the onset of the defect is compared too), for
+``figure --gmax 5000`` and, on the line ``errors``, for a fixed set of
+bad inputs that each end in an error message and exit code 2 or 3.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -111,6 +112,33 @@ def large_free_rank_jobs(Job, seed: int) -> list:
     return jobs
 
 
+def error_jobs(Job) -> list:
+    """Bad inputs, each ending in a one-line error and exit code 2 or 3:
+    unreadable and out-of-range complex files, both or neither source,
+    m = 2, the free-rank and figure caps, a too wide phi row, genus 0
+    and negative genera."""
+    Path("not-utf8.txt").write_bytes(b"3\n1 2\xff\n")
+    Path("out-of-range.txt").write_text("3\n1 4\n", encoding="utf-8")
+    Path("wide-phi.txt").write_text("1 0 1\n", encoding="utf-8")
+    argvs = [
+        ("rzk", "--complex", "missing.txt"),
+        ("rzk", "--complex", "not-utf8.txt"),
+        ("free-rank", "--complex", "not-utf8.txt"),
+        ("rzk", "--m", "2"),
+        ("rzk", "--complex", "out-of-range.txt"),
+        ("rzk", "--m", "5", "--complex", "out-of-range.txt"),
+        ("free-rank",),
+        ("free-rank", "--m", "25"),
+        ("cover", "--orientable", "true", "--genus", "1", "--phi", "wide-phi.txt"),
+        ("cover", "--orientable", "false", "--genus", "0", "--phi", "wide-phi.txt"),
+        ("f", "--g", "-1"),
+        ("f", "--g", "-1", "--exact"),
+        ("figure", "--gmax", "1000001"),
+        ("figure", "--gmax", "-1"),
+    ]
+    return [Job("error", argv, "error") for argv in argvs]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the tree's src directory")
@@ -139,6 +167,7 @@ def main() -> int:
         print(digest_line("H-probes", probes, cli, fgenus))
         figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
         print(digest_line("figure-5000", [figure], cli, fgenus))
+        print(digest_line("errors", error_jobs(workloads.Job), cli, fgenus))
     return 0
 
 
