@@ -18,10 +18,7 @@ from .rzk import (
     verify_closed_surface,
 )
 from .action import (
-    SignElement,
     Subgroup,
-    apply,
-    has_fixed_point,
     is_free_subgroup,
     lemma_generators,
     max_free_rank,
@@ -32,7 +29,6 @@ from .cover import (
     SurfacePresentation,
     build_cover,
     presentation,
-    prop2_tower,
 )
 
 # the fgenus names load mpmath, so they are resolved on first use (PEP 562)
@@ -60,10 +56,7 @@ __all__ = [
     "orientability",
     "polygon_genus",
     "verify_closed_surface",
-    "SignElement",
     "Subgroup",
-    "apply",
-    "has_fixed_point",
     "is_free_subgroup",
     "lemma_generators",
     "max_free_rank",
@@ -72,7 +65,6 @@ __all__ = [
     "SurfacePresentation",
     "build_cover",
     "presentation",
-    "prop2_tower",
     "FValue",
     "GenusDecomposition",
     "H",

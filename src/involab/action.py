@@ -3,13 +3,14 @@
 (Z/2)^m acts on [-1,1]^m by flipping signs of coordinates; the element
 supported on S sends x_i to -x_i for i in S. The action restricts to the
 complex over any K and permutes its cells: a cell keeps its free set and
-has its sign bits toggled on support \\ free. Composition of elements is
-XOR of supports, so the whole group lives inside int bitmasks.
+has its sign bits toggled on support \\ free. An element is its support,
+an int bitmask over K's vertices (bit i-1 = vertex i) like K's faces:
+composition is XOR, and the identity is 0.
 
-Fixed points are governed by a single membership test: an element has a
-fixed point on the complex iff its support is a face of K (the fixed set
-needs all supported coordinates at 0 simultaneously, which a block over
-the face I permits exactly when support is contained in I, and downward
+Fixed points are governed by a single membership test: an element g has
+a fixed point on the complex iff ``g in K.faces`` (the fixed set needs
+all supported coordinates at 0 simultaneously, which a block over the
+face I permits exactly when support is contained in I, and downward
 closure turns that into membership). A subgroup therefore acts freely
 iff no nonzero element of its span has a face as support, that is iff
 no nonzero face of K lies in the span, which reducing each face by the
@@ -31,50 +32,10 @@ from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
-from .rzk import Cell, CubicalSurface, orientability
+from .rzk import CubicalSurface, orientability
 from .scomplex import SimplicialComplex, mask_of, vertices_of
 
 MAX_SEARCH_M = 24  # max_free_rank explores subspaces of GF(2)^m; refuse bigger m
-
-
-class SignElement(NamedTuple):
-    """Group element, identified by its support bitmask (bit i-1 = vertex i)."""
-
-    support: int
-
-    def compose(self, other: "SignElement") -> "SignElement":
-        return SignElement(self.support ^ other.support)
-
-    def __mul__(self, other: "SignElement") -> "SignElement":
-        return self.compose(other)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.support == 0
-
-    def vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.support)
-
-    @staticmethod
-    def from_vertices(vertices: Iterable[int], m: int) -> "SignElement":
-        return SignElement(mask_of(vertices, m))
-
-
-IDENTITY = SignElement(0)
-
-
-def apply(g: SignElement, cell: Cell) -> Cell:
-    """Image of a cell: same free set, sign bits toggled on support minus free."""
-    return Cell(cell.free, cell.signs ^ (g.support & ~cell.free))
-
-
-def has_fixed_point(K: SimplicialComplex, g: SignElement) -> bool:
-    """Whether g fixes any point of the complex over K.
-
-    Support membership in K decides it; the identity comes out True since
-    the empty face is always present.
-    """
-    return K.contains_mask(g.support)
 
 
 class Subgroup(NamedTuple):
@@ -85,21 +46,20 @@ class Subgroup(NamedTuple):
     pivots (highest set bits) strictly increasing. rank == len(basis).
     """
 
-    generators: tuple[SignElement, ...]
-    basis: tuple[SignElement, ...]
+    generators: tuple[int, ...]
+    basis: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def basis_vertex_lists(self) -> list[list[int]]:
-        return [list(b.vertices()) for b in self.basis]
+        return [list(vertices_of(b)) for b in self.basis]
 
     @staticmethod
-    def from_generators(generators: Iterable[SignElement]) -> "Subgroup":
+    def from_generators(generators: Iterable[int]) -> "Subgroup":
         gens = tuple(generators)
-        basis = tuple(SignElement(v) for v in gf2.rref(g.support for g in gens))
-        return Subgroup(gens, basis)
+        return Subgroup(gens, tuple(gf2.rref(gens)))
 
 
 def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
@@ -107,7 +67,7 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
 
     Reduces each face by H's echelon basis: O(|K| rank), not 2^rank.
     """
-    rows = [(b.support, gf2.pivot(b.support)) for b in H.basis]
+    rows = [(b, gf2.pivot(b)) for b in H.basis]
     for f in K.faces:
         rest = f
         for b, p in rows:
@@ -141,24 +101,22 @@ def lemma_generators(m: int) -> Subgroup:
     supports += [[2 * i, 2 * i + 2] for i in range(1, k)]
     if m % 2:
         supports.append([1, 2 * k, 2 * k + 1])
-    return Subgroup.from_generators(
-        SignElement.from_vertices(s, m) for s in supports
-    )
+    return Subgroup.from_generators(mask_of(s, m) for s in supports)
 
 
-def orientation_sign(C: CubicalSurface, g: SignElement) -> int:
+def orientation_sign(C: CubicalSurface, g: int) -> int:
     """+1 if g preserves the global orientation of C, -1 if it reverses it.
 
-    g maps square Cell(I, s) to Cell(I, s ^ (support minus I)) and acts
-    on its frame as the reflection in each coordinate of support & I.
-    With square signs (-1)^popcount(s) sigma[I] (see ``orientability``)
-    the image's sign differs by (-1)^|support minus I| and the frame by
-    (-1)^|support & I|, so the sign is (-1)^|support| on every square.
+    g maps square Cell(I, s) to Cell(I, s ^ (g & ~I)) and acts on its
+    frame as the reflection in each coordinate of g & I. With square
+    signs (-1)^popcount(s) sigma[I] (see ``orientability``) the image's
+    sign differs by (-1)^|g & ~I| and the frame by (-1)^|g & I|, so the
+    sign is (-1)^|g| on every square.
     """
     orientable, _ = orientability(C)
     if not orientable:
         raise NotASurfaceError("orientation_sign needs an orientable surface")
-    return -1 if g.support.bit_count() % 2 else 1
+    return -1 if g.bit_count() % 2 else 1
 
 
 def _colouring_dim(K: SimplicialComplex) -> int:
@@ -276,7 +234,7 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
 
     if not extend(-1, 0):
         raise CrossCheckError(f"no free subgroup reaches the colouring bound {target}")
-    witness = Subgroup.from_generators(SignElement(v) for v in chosen)
+    witness = Subgroup.from_generators(chosen)
     cross_check_free(K, witness)
     return target, witness
 

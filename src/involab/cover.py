@@ -213,22 +213,6 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     )
 
 
-def prop2_tower(B: SurfacePresentation) -> list[tuple[int, tuple[int, ...]]]:
-    """Quotient tower: epimorphisms onto (Z/2)^n for n = B.generator_count down to 1.
-
-    Generators are killed one at a time in order a_1, b_1, a_2, ...; the
-    rank-n member projects mod-2 homology onto the last n generator
-    coordinates, so its matrix rows are the standard basis vectors
-    e_(d-n+1), ..., e_d.
-    """
-    d = B.generator_count
-    tower = []
-    for n in range(d, 0, -1):
-        rows = tuple(1 << (d - n + r) for r in range(n))
-        tower.append((n, rows))
-    return tower
-
-
 def parse_phi(text: str, d: int) -> tuple[int, ...]:
     """Read a GF(2) matrix: one row per line, d space-separated bits.
 

@@ -13,7 +13,7 @@ class ValidationError(ValueError):
 
 
 class CapError(RuntimeError):
-    """A configurable resource cap would be exceeded; the message names the cap."""
+    """A fixed resource cap (a module constant) would be exceeded; the message names it."""
 
 
 class NotASurfaceError(ValueError):

@@ -11,7 +11,7 @@ deterministic witnesses and exhaustive subspace enumeration possible.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def pivot(v: int) -> int:
@@ -65,30 +65,3 @@ def span(basis: Iterable[int]) -> list[int]:
         out += [x ^ b for x in out]
     return out
 
-
-def subspace_bases(dim: int) -> Iterator[list[int]]:
-    """Every subspace of GF(2)^dim exactly once, as its canonical RREF basis.
-
-    Enumerates by pivot set: a row with pivot p carries ``1 << p`` plus an
-    arbitrary subset of the non-pivot positions below p. Intended for
-    exhaustive small-dimension checks (the count is the Galois number,
-    2825 already at dim 6), not for production searches.
-    """
-    from itertools import combinations, product
-
-    for r in range(dim + 1):
-        for pivots in combinations(range(dim), r):
-            pivot_set = set(pivots)
-            free_choices = []
-            for p in pivots:
-                free_bits = [b for b in range(p) if b not in pivot_set]
-                choices = []
-                for k in range(1 << len(free_bits)):
-                    mask = 1 << p
-                    for j, b in enumerate(free_bits):
-                        if (k >> j) & 1:
-                            mask |= 1 << b
-                    choices.append(mask)
-                free_choices.append(choices)
-            for rows in product(*free_choices):
-                yield list(rows)

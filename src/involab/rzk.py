@@ -67,7 +67,7 @@ class CubicalSurface:
         self.K = K
         self.m = K.m
         self._faces: dict[int, list[int]] = {}
-        for face in K.faces_sorted():
+        for face in sorted(K.faces):
             self._faces.setdefault(face.bit_count(), []).append(face)
         self._cells: dict[int, tuple[Cell, ...]] = {}
 

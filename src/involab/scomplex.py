@@ -76,24 +76,6 @@ class SimplicialComplex(_Complex):
         """Dimension: largest face cardinality minus one; -1 for {0} alone."""
         return max(f.bit_count() for f in self.faces) - 1
 
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self.faces
-
-    def is_face(self, vertices: Iterable[int]) -> bool:
-        return mask_of(vertices, self.m) in self.faces
-
-    def faces_sorted(self) -> list[int]:
-        """Face masks in increasing numeric order; deterministic iteration order."""
-        return sorted(self.faces)
-
-    def facets(self) -> list[int]:
-        """Maximal faces, in increasing mask order."""
-        out = []
-        for f in self.faces_sorted():
-            if f and not any(g != f and f & g == f for g in self.faces):
-                out.append(f)
-        return out
-
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex generated by the given facets (downward closure is taken)."""

@@ -13,26 +13,19 @@ import mpmath
 import pytest
 
 from involab import gf2
-from involab.action import (
-    SignElement,
-    apply,
-    lemma_generators,
-    max_free_rank,
-    orientation_sign,
-)
+from involab.action import lemma_generators, max_free_rank, orientation_sign
 from involab.cli import main
 from involab.cover import (
     build_cover,
     orientable_by_character,
     presentation,
-    prop2_tower,
 )
 from involab.fgenus import H, decompose, lambert_w, min_genus
 from involab.rzk import build, genus, orientability, verify_closed_surface
-from involab.scomplex import polygon_boundary
+from involab.scomplex import polygon_boundary, vertices_of
 
-from test_action_oracle import span_elements
-from test_cover_oracle import face_components, oracle_boundaries
+from test_action_oracle import apply, span_elements, subspace_bases
+from test_cover_oracle import face_components, oracle_boundaries, prop2_tower
 from test_fgenus import H_by_lambert
 from test_rzk_oracle import square_signs
 
@@ -80,7 +73,7 @@ def test_criterion_03_lemma_subgroup_is_free_and_survives_the_cell_oracle():
         Hm = lemma_generators(m)
         if Hm.rank != m - 2:
             failures.append(f"m={m}: rank {Hm.rank}")
-        if any(K.contains_mask(e.support) for e in span_elements(Hm) if e.support):
+        if any(g and g in K.faces for g in span_elements(Hm)):
             failures.append(f"m={m}: support criterion failed")
     for m in range(3, 7):
         K = polygon_boundary(m)
@@ -90,9 +83,9 @@ def test_criterion_03_lemma_subgroup_is_free_and_survives_the_cell_oracle():
         if len(elements) != 2 ** (m - 2):
             failures.append(f"m={m}: {len(elements)} elements")
         for g in elements:
-            fixes = any(g.support & ~c.free == 0 for c in cells)
-            if fixes != g.is_identity:
-                failures.append(f"m={m}: element {g.vertices()} oracle mismatch")
+            fixes = any(g & ~c.free == 0 for c in cells)
+            if fixes != (g == 0):
+                failures.append(f"m={m}: element {vertices_of(g)} oracle mismatch")
     verdict("lemma subgroup free of rank m-2, cell oracle agrees on m <= 6", failures)
 
 
@@ -103,12 +96,12 @@ def test_criterion_04_no_larger_free_subgroup_exists():
         K = polygon_boundary(m)
         best = 0
         per_rank = {}
-        for basis in gf2.subspace_bases(m):
+        for basis in subspace_bases(m):
             per_rank[len(basis)] = per_rank.get(len(basis), 0) + 1
             span = [0]
             for b in basis:
                 span += [x ^ b for x in span]
-            if all(not K.contains_mask(v) for v in span if v):
+            if all(v not in K.faces for v in span if v):
                 best = max(best, len(basis))
         for k, count in per_rank.items():
             num = den = 1
@@ -132,15 +125,14 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
     for m in range(3, 8):
         C = build(polygon_boundary(m))
         orient = square_signs(C, orientability(C)[1])
-        for s in range(1 << m):
-            g = SignElement(s)
-            expected = -1 if s.bit_count() % 2 else 1
+        for g in range(1 << m):
+            expected = -1 if g.bit_count() % 2 else 1
             signs = {
-                orient[c] * orient[apply(g, c)] * (-1) ** (s & c.free).bit_count()
+                orient[c] * orient[apply(g, c)] * (-1) ** (g & c.free).bit_count()
                 for c in C.cells(2)
             }
             if signs != {expected} or orientation_sign(C, g) != expected:
-                failures.append(f"m={m}, support {g.vertices()}: sign {signs}")
+                failures.append(f"m={m}, support {vertices_of(g)}: sign {signs}")
     verdict("orientation sign is (-1)^|support| for every element, m <= 7", failures)
 
 

@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 
 from involab import gf2
 from involab.action import (
-    IDENTITY,
-    SignElement,
     Subgroup,
-    apply,
     cross_check_free,
-    has_fixed_point,
     is_free_subgroup,
     lemma_generators,
     max_free_rank,
@@ -28,9 +24,9 @@ from involab.action import (
 )
 from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import Cell, build, orientability
-from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
+from involab.scomplex import SimplicialComplex, from_facets, mask_of, polygon_boundary, vertices_of
 
-from test_action_oracle import span_elements
+from test_action_oracle import apply, span_elements, subspace_bases
 from test_rzk_oracle import square_signs
 
 
@@ -38,7 +34,7 @@ def fixes_some_cell(C, g):
     """Oracle: g fixes a cell (hence a point) iff support fits in its free set."""
     for d in range(C.dim + 1):
         for cell in C.cells(d):
-            if g.support & ~cell.free == 0:
+            if g & ~cell.free == 0:
                 return True
     return False
 
@@ -51,19 +47,10 @@ def gaussian_binomial(m, k):
     return num // den
 
 
-def test_compose_is_xor():
-    a = SignElement.from_vertices([1, 3], 5)
-    b = SignElement.from_vertices([3, 4], 5)
-    assert (a * b).vertices() == (1, 4)
-    assert (a * a) == IDENTITY
-    assert a * IDENTITY == a
-
-
 def test_apply_flips_signs_off_free_set():
     # edge with free coordinate 2 on m=4, all fixed signs +1
     e = Cell(free=0b0010, signs=0)
-    g = SignElement.from_vertices([1, 2], 4)
-    image = apply(g, e)
+    image = apply(mask_of([1, 2], 4), e)
     assert image.free == e.free
     assert image.signs == 0b0001  # coordinate 1 flipped, 2 absorbed by the free set
 
@@ -71,8 +58,7 @@ def test_apply_flips_signs_off_free_set():
 def test_apply_is_an_involution_everywhere():
     C = build(polygon_boundary(4))
     cells = [c for d in range(3) for c in C.cells(d)]
-    for s in range(1 << 4):
-        g = SignElement(s)
+    for g in range(1 << 4):
         for c in cells:
             assert apply(g, apply(g, c)) == c
             assert apply(g, c).signs & apply(g, c).free == 0
@@ -81,19 +67,18 @@ def test_apply_is_an_involution_everywhere():
 def test_apply_respects_composition():
     C = build(polygon_boundary(4))
     cells = [c for d in range(3) for c in C.cells(d)]
-    for s in (0b0011, 0b1010, 0b1111):
-        for t in (0b0001, 0b1100):
-            g, h = SignElement(s), SignElement(t)
+    for g in (0b0011, 0b1010, 0b1111):
+        for h in (0b0001, 0b1100):
             for c in cells:
-                assert apply(g, apply(h, c)) == apply(g * h, c)
+                assert apply(g, apply(h, c)) == apply(g ^ h, c)
 
 
 def test_has_fixed_point_examples():
     K = polygon_boundary(5)
-    assert has_fixed_point(K, SignElement.from_vertices([2, 3], 5))
-    assert not has_fixed_point(K, SignElement.from_vertices([1, 3], 5))
-    assert not has_fixed_point(K, SignElement.from_vertices([1, 2, 3], 5))
-    assert has_fixed_point(K, IDENTITY)
+    assert mask_of([2, 3], 5) in K.faces
+    assert mask_of([1, 3], 5) not in K.faces
+    assert mask_of([1, 2, 3], 5) not in K.faces
+    assert 0 in K.faces  # the identity fixes everything
 
 
 @pytest.mark.parametrize(
@@ -109,36 +94,31 @@ def test_has_fixed_point_examples():
 )
 def test_has_fixed_point_agrees_with_cell_scan(K):
     C = build(K)
-    for s in range(1 << K.m):
-        g = SignElement(s)
-        assert has_fixed_point(K, g) == fixes_some_cell(C, g)
+    for g in range(1 << K.m):
+        assert (g in K.faces) == fixes_some_cell(C, g)
 
 
 def test_subgroup_rref_basis():
-    gens = [SignElement.from_vertices(v, 6) for v in ([1, 3], [3, 5], [2, 4], [4, 6])]
+    gens = [mask_of(v, 6) for v in ([1, 3], [3, 5], [2, 4], [4, 6])]
     H = Subgroup.from_generators(gens)
     assert H.rank == 4
-    assert [g.vertices() for g in H.generators] == [
+    assert [vertices_of(g) for g in H.generators] == [
         (1, 3), (3, 5), (2, 4), (4, 6),
     ]
-    pivots = [gf2.pivot(b.support) for b in H.basis]
+    pivots = [gf2.pivot(b) for b in H.basis]
     assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
     for i, b in enumerate(H.basis):
         for j, other in enumerate(H.basis):
             if i != j:
-                assert not (other.support >> gf2.pivot(b.support)) & 1
-    assert len({e.support for e in span_elements(H)}) == 16
+                assert not (other >> gf2.pivot(b)) & 1
+    assert len(set(span_elements(H))) == 16
 
 
 def test_is_free_subgroup_examples():
     K = polygon_boundary(4)
-    free = Subgroup.from_generators(
-        [SignElement.from_vertices([1, 3], 4), SignElement.from_vertices([2, 4], 4)]
-    )
+    free = Subgroup.from_generators([mask_of([1, 3], 4), mask_of([2, 4], 4)])
     assert is_free_subgroup(K, free)
-    pinned = Subgroup.from_generators(
-        [SignElement.from_vertices([1, 2], 4), SignElement.from_vertices([2, 4], 4)]
-    )
+    pinned = Subgroup.from_generators([mask_of([1, 2], 4), mask_of([2, 4], 4)])
     assert not is_free_subgroup(K, pinned)  # {1,2} is an edge of the square
 
 
@@ -155,7 +135,7 @@ def test_is_free_subgroup_examples():
 )
 def test_lemma_generator_supports(m, expected):
     H = lemma_generators(m)
-    assert [g.vertices() for g in H.generators] == expected
+    assert [vertices_of(g) for g in H.generators] == expected
 
 
 @pytest.mark.parametrize("m", range(3, 13))
@@ -174,11 +154,11 @@ def test_lemma_elements_fix_no_cell(m):
     elements = span_elements(H)
     assert len(elements) == 2 ** (m - 2)
     for g in elements:
-        if g.is_identity:
+        if g == 0:
             assert fixes_some_cell(C, g)  # the identity fixes everything
         else:
             assert not fixes_some_cell(C, g)
-        assert has_fixed_point(K, g) == fixes_some_cell(C, g)
+        assert (g in K.faces) == fixes_some_cell(C, g)
 
 
 @pytest.mark.parametrize("m", range(3, 8))
@@ -187,13 +167,12 @@ def test_orientation_parity(m):
     ok, sigma = orientability(C)
     assert ok
     orient = square_signs(C, sigma)
-    for s in range(1 << m):
-        g = SignElement(s)
-        expected = -1 if s.bit_count() % 2 else 1
+    for g in range(1 << m):
+        expected = -1 if g.bit_count() % 2 else 1
         assert orientation_sign(C, g) == expected
         # constancy across all 2-cells, not just the sampled one
         transported = {
-            orient[c] * orient[apply(g, c)] * (-1) ** (s & c.free).bit_count()
+            orient[c] * orient[apply(g, c)] * (-1) ** (g & c.free).bit_count()
             for c in C.cells(2)
         }
         assert transported == {expected}
@@ -202,19 +181,19 @@ def test_orientation_parity(m):
 def test_orientation_sign_rejects_non_surface():
     C = build(from_facets(2, [[1, 2]]))
     with pytest.raises(NotASurfaceError):
-        orientation_sign(C, SignElement(0b01))
+        orientation_sign(C, 0b01)
 
 
 def exhaustive_max_free_rank(K):
     """Oracle: scan every subspace of GF(2)^m, certified complete by count."""
     per_rank = {}
     best = 0
-    for basis in gf2.subspace_bases(K.m):
+    for basis in subspace_bases(K.m):
         per_rank[len(basis)] = per_rank.get(len(basis), 0) + 1
         span = [0]
         for b in basis:
             span += [x ^ b for x in span]
-        if all(not K.contains_mask(v) for v in span if v):
+        if all(v not in K.faces for v in span if v):
             best = max(best, len(basis))
     for k, count in per_rank.items():
         assert count == gaussian_binomial(K.m, k)
@@ -251,8 +230,8 @@ def test_max_free_rank_matches_exhaustive_search_on_random_complexes(K):
 def test_cross_check_free_rejects_a_face_in_the_span():
     # neither generator is a face, but their sum {2,3,4} is the facet
     K = from_facets(4, [[2, 3, 4]])
-    H = Subgroup.from_generators(SignElement.from_vertices(s, 4) for s in ([1, 2], [1, 3, 4]))
-    assert not any(K.contains_mask(b.support) for b in H.basis)
+    H = Subgroup.from_generators(mask_of(s, 4) for s in ([1, 2], [1, 3, 4]))
+    assert not any(b in K.faces for b in H.basis)
     assert not is_free_subgroup(K, H)
     with pytest.raises(CrossCheckError, match=r"fixes the face \(2, 3, 4\)"):
         cross_check_free(K, H)
@@ -264,7 +243,7 @@ def test_max_free_rank_trivial_cases():
     # no faces at all: the whole group acts freely
     rank, witness = max_free_rank(SimplicialComplex(3))
     assert rank == 3
-    assert [b.support for b in witness.basis] == [0b001, 0b010, 0b100]
+    assert witness.basis == (0b001, 0b010, 0b100)
 
 
 def test_max_free_rank_deterministic_witness():

@@ -108,10 +108,10 @@ def test_cross_check_failure_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_free_rank_cross_check_failure_exits_4(capsys, monkeypatch):
-    from involab.action import SignElement, Subgroup
+    from involab.action import Subgroup
 
     # the search hands back a witness whose span holds the vertex {1}
-    planted = Subgroup.from_generators([SignElement(0b1)])
+    planted = Subgroup.from_generators([0b1])
     monkeypatch.setattr(Subgroup, "from_generators", staticmethod(lambda gens: planted))
     code, out, err = run(capsys, "free-rank", "--m", "6")
     assert code == 4

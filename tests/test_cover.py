@@ -24,10 +24,9 @@ from involab.cover import (
     build_cover,
     parse_phi,
     presentation,
-    prop2_tower,
 )
 from involab.errors import CapError, CrossCheckError, ValidationError
-from test_cover_oracle import face_components, oracle_boundaries
+from test_cover_oracle import face_components, oracle_boundaries, prop2_tower
 
 TORUS = presentation(True, 1)
 GENUS2 = presentation(True, 2)

@@ -10,6 +10,9 @@ faces that share an edge id), and raises the same CrossCheckError messages
 as the package. Every report field, and every raised message, is compared
 with ``build_cover`` exhaustively for n <= 3 over five bases, and on random
 matrices and random (often malformed) words.
+
+``prop2_tower`` gives the epimorphisms whose covers ``test_cover.py`` and
+``test_acceptance.py`` compare with the polygon surfaces.
 """
 
 import itertools
@@ -79,6 +82,18 @@ def face_components(boundaries):
         for eid, _ in word:
             parent[root(f)] = root(first_face.setdefault(eid, f))
     return sum(parent[f] == f for f in range(len(parent)))
+
+
+def prop2_tower(B):
+    """Quotient tower: epimorphisms onto (Z/2)^n for n = B.generator_count down to 1.
+
+    Generators are killed one at a time in order a_1, b_1, a_2, ...; the
+    rank-n member projects mod-2 homology onto the last n generator
+    coordinates, so its matrix rows are the standard basis vectors
+    e_(d-n+1), ..., e_d.
+    """
+    d = B.generator_count
+    return [(n, tuple(1 << (d - n + r) for r in range(n))) for n in range(d, 0, -1)]
 
 
 def oracle_cover(B, phi):

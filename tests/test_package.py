@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import involab
-from involab.action import SignElement, lemma_generators
+from involab.action import lemma_generators
 from involab.cover import build_cover, presentation
 from involab.errors import ValidationError
 from involab.fgenus import FigureRow, FValue, GenusDecomposition, _figure_row, decompose, f_exact
@@ -98,7 +98,6 @@ def test_unknown_attribute_raises_attribute_error():
 VALUES = [
     polygon_boundary(5),
     verify_closed_surface(build(polygon_boundary(4))),
-    SignElement(0b101),
     lemma_generators(6),
     presentation(False, 3),
     build_cover(presentation(True, 1), [0b01, 0b10]),

@@ -19,6 +19,11 @@ def faces_as_vertex_sets(K):
     return {vertices_of(f) for f in K.faces}
 
 
+def facets(K):
+    """Maximal faces, in increasing mask order."""
+    return [f for f in sorted(K.faces) if f and not any(g != f and f & g == f for g in K.faces)]
+
+
 def test_polygon_triangle_faces():
     K = polygon_boundary(3)
     assert faces_as_vertex_sets(K) == {
@@ -65,8 +70,8 @@ def test_from_facets_closure():
 
 def test_from_facets_ghost_vertices():
     K = from_facets(5, [[1, 2]])
-    assert K.is_face([5]) is False
-    assert K.is_face([1]) and K.is_face([1, 2])
+    assert mask_of([5], 5) not in K.faces
+    assert mask_of([1], 5) in K.faces and mask_of([1, 2], 5) in K.faces
 
 
 def test_from_facets_out_of_range():
@@ -78,24 +83,17 @@ def test_from_facets_out_of_range():
 
 def test_empty_complex_has_empty_face():
     K = SimplicialComplex(3)
-    assert K.contains_mask(0)
+    assert 0 in K.faces
     assert K.dim == -1
-
-
-def test_is_face():
-    K = polygon_boundary(5)
-    assert K.is_face([2, 3])
-    assert not K.is_face([1, 3])
-    assert K.is_face([])
 
 
 def test_facets():
     K = polygon_boundary(4)
     # increasing mask order: {1,2} < {2,3} < {1,4} < {3,4}
-    assert [vertices_of(f) for f in K.facets()] == [
+    assert [vertices_of(f) for f in facets(K)] == [
         (1, 2), (2, 3), (1, 4), (3, 4),
     ]
-    assert from_facets(4, [[1, 2, 3]]).facets() == [mask_of([1, 2, 3], 4)]
+    assert facets(from_facets(4, [[1, 2, 3]])) == [mask_of([1, 2, 3], 4)]
 
 
 def test_mask_round_trip():
