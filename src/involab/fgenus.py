@@ -20,9 +20,11 @@ inverting that over the reals gives the envelope
 
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
-in exact integers, never through floats; W itself is computed by Halley
-iteration in 40-digit arithmetic (136-bit mpmath.libmp operations on raw
-tuples, without mpf objects or precision contexts) from a float64 start.
+in exact integers, never through floats. Below g = 10^26 (H_FIXED_POINT_BELOW)
+H takes one Halley step for W from a float64 start in fixed-point Python
+ints at scale 2^-160 and rounds to float once; from there on it calls
+lambert_w, which iterates in 40-digit arithmetic (136-bit mpmath.libmp
+operations on raw tuples, without mpf objects or precision contexts).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from mpmath.libmp import (dps_to_prec, finf, fnan, fnone, fone, from_float, from
                           mpf_abs, mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub,
                           round_nearest, to_float)
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from . import gf2
 from .cover import build_cover, presentation
@@ -42,7 +45,7 @@ from .errors import CapError, CrossCheckError, ValidationError
 
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
 MAX_SHEETS = 1 << 16  # nor a cover with a deck group larger than this
-MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.3 ms
+MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.03-0.04 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -263,11 +266,66 @@ def lambert_w(x) -> mpmath.mpf:
     return mpmath.mp.make_mpf(w)
 
 
+# H takes the fixed-point route below this genus and lambert_w from it on,
+# where lambert_w's absolute stop rule is the known defect (H raises from
+# about g = 10^27). The split goes away once lambert_w's stop rule is fixed
+# (ROADMAP items 1 and 8): the fixed-point route then takes every g.
+H_FIXED_POINT_BELOW = 10**26
+_FIX = 160  # fraction bits of H's fixed-point W; lambert_w works at 136
+_ONE = 1 << _FIX
+_LN2_FIX = ln2_fixed(_FIX)
+_TOL_FIX = int(math.ldexp(LAMBERT_TOL, _FIX))
+
+
+def _equality_rank(g: int) -> int | None:
+    """The n with min_genus(n) == g, or None if g is no equality genus.
+
+    Counts n up from n0 = max(1, L - bitlen(L)), L = g.bit_length(): since
+    n0 - 2 < 2^bitlen(L), min_genus(n0) <= 2^(L-1) <= g, and the count takes
+    about log2(L) steps instead of L.
+    """
+    length = g.bit_length()
+    n = max(1, length - length.bit_length())
+    while (g_n := min_genus(n)) < g:
+        n += 1
+    return n if g_n == g else None
+
+
+def _envelope_fixed(gm: tuple, g) -> float:
+    """W((g-1) ln2 / 2)/ln2 + 2 in fixed-point ints at scale 2^-_FIX, for
+    the 136-bit tuple gm of a genus g below H_FIXED_POINT_BELOW.
+
+    One Halley step from the float64 seed, then the residual check of
+    lambert_w, |w e^w - x| <= LAMBERT_TOL, and one rounding to float by
+    exact integer division. Here |x| < 3.5e25 and w + 1 > 0.43, so 160
+    bits leave the residual within 1e-22 of its true value.
+    """
+    _, man, exp, _ = gm  # g = man * 2^exp >= 0
+    shift = exp + _FIX
+    g_fix = man << shift if shift >= 0 else man >> -shift
+    x = (g_fix - _ONE) * _LN2_FIX >> _FIX + 1
+    w = int(math.ldexp(_float_seed(x / _ONE), _FIX))
+    ew = exp_fixed(w, _FIX, _LN2_FIX)
+    f = (w * ew >> _FIX) - x
+    wp1 = w + _ONE  # w - f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
+    c = (w + 2 * _ONE) * f // (2 * wp1)
+    w -= (f << _FIX) // ((ew * wp1 >> _FIX) - c)
+    f = (w * exp_fixed(w, _FIX, _LN2_FIX) >> _FIX) - x
+    if abs(f) > _TOL_FIX:
+        raise CrossCheckError(f"H's Halley step left |w e^w - x| = {abs(f) / _ONE:.3g} "
+                              f"above {LAMBERT_TOL} for g={g!r}")
+    return (w + 2 * _LN2_FIX) / _LN2_FIX
+
+
 def H(g) -> float:
     """The envelope W((g-1) ln2 / 2)/ln2 + 2, as a float.
 
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
     and is returned exactly (big-integer detection, no floats involved).
+    Other genera are first rounded to 136 bits, as mpmath.mpf(g) at 40
+    digits would be. Below H_FIXED_POINT_BELOW, W comes from one Halley
+    step in 160-bit fixed point (``_envelope_fixed``), from there on from
+    lambert_w at 40 digits; below the cut-off both give the same floats.
     """
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
@@ -276,14 +334,12 @@ def H(g) -> float:
         g_int = g
     elif isinstance(g, float) and g.is_integer():
         g_int = int(g)
-    if g_int is not None:
-        n = 1  # min_genus(1) = 0 <= g_int, and min_genus increases with n
-        while (g_n := min_genus(n)) < g_int:
-            n += 1
-        if g_n == g_int:
-            return float(n)
-    x = mpf_pos(mpmath.mpf.mpf_convert_arg(g, _PREC, _RND), _PREC, _RND)  # mpmath.mpf(g)
-    x = mpf_div(mpf_mul(mpf_sub(x, fone, _PREC, _RND), _LN2, _PREC, _RND), ftwo, _PREC, _RND)
+    if g_int is not None and (n := _equality_rank(g_int)) is not None:
+        return float(n)
+    gm = mpf_pos(mpmath.mpf.mpf_convert_arg(g, _PREC, _RND), _PREC, _RND)  # mpmath.mpf(g)
+    if g < H_FIXED_POINT_BELOW:
+        return _envelope_fixed(gm, g)
+    x = mpf_div(mpf_mul(mpf_sub(gm, fone, _PREC, _RND), _LN2, _PREC, _RND), ftwo, _PREC, _RND)
     w = lambert_w(mpmath.mp.make_mpf(x))._mpf_
     return to_float(mpf_add(mpf_div(w, _LN2, _PREC, _RND), ftwo, _PREC, _RND), rnd=_RND)
 

@@ -7,7 +7,8 @@ resolver's certificates against the covers they are built from.
 lambert_w and H run on raw mpmath.libmp tuples; ``oracle_lambert_w`` and
 ``oracle_H`` keep the same Halley loop written with mpf objects under
 ``workdps(40)``, and both must agree bit for bit, on the known defect's
-genera too. The
+genera too. Below 10^26 H runs its own fixed-point Halley step, which
+must give the same floats as the lambert_w route on drawn genera. The
 equality genera are tied back to the cubical surfaces themselves at
 the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involab import fgenus
 from involab.action import max_free_rank
@@ -349,10 +352,81 @@ def test_H_known_defect_onset_is_unchanged(seed):
 
 
 def H_by_lambert(g) -> float:
-    """H's Lambert route, which H itself skips at the equality genera."""
+    """H's lambert_w route, which H itself takes only from 10^26 on and
+    never at the equality genera."""
     with mpmath.workdps(40):
         ln2 = mpmath.log(2)
         return float(lambert_w((mpmath.mpf(g) - 1) * ln2 / 2) / ln2 + 2)
+
+
+EQUALITY_GENERA = [g for _, g in equality_genera(2**52)]
+LOG_UNIFORM_GENERA = st.integers(1, 87).flatmap(
+    lambda k: st.integers(1 << (k - 1), min((1 << k) - 1, fgenus.H_FIXED_POINT_BELOW - 1)))
+
+
+@st.composite
+def mpf_genera(draw) -> mpmath.mpf:
+    """A 60-digit quotient below 10^26, rounded to 136 bits by H."""
+    q = draw(st.integers(1, 10**20))
+    p = draw(st.integers(0, min(10**45, q * fgenus.H_FIXED_POINT_BELOW - 1)))
+    with mpmath.workdps(60):
+        return mpmath.mpf(p) / q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.just(0) | LOG_UNIFORM_GENERA,
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.floats(1 - 1e-6, 1 + 1e-6).filter(lambda g: not g.is_integer()),
+    st.tuples(st.sampled_from(EQUALITY_GENERA), st.sampled_from([-0.5, 0.5]))
+    .map(lambda t: t[0] + t[1]).filter(lambda g: g >= 0),
+    mpf_genera(),
+))
+def test_H_fixed_point_route_matches_the_lambert_route_bit_for_bit(g):
+    assert H(g) == H_by_lambert(g), g
+
+
+def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
+    calls = []
+    lambert = fgenus.lambert_w
+
+    def counting_lambert_w(x):
+        calls.append(x)
+        return lambert(x)
+
+    monkeypatch.setattr(fgenus, "lambert_w", counting_lambert_w)
+    cut = fgenus.H_FIXED_POINT_BELOW
+    for g in [2, 2.5, 0.25, mpmath.mpf(10) ** 20 / 3, 10**25, cut - 1, float(cut - 2**40)]:
+        H(g)
+    assert calls == []
+    for g in (cut, cut + 1):
+        calls.clear()
+        H(g)
+        assert len(calls) == 1, g
+
+
+@pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1])
+def test_H_fixed_point_residual_check_is_live(g, monkeypatch):
+    """A float seed 1e-3 off leaves a residual near 1e-10 or more after
+    one Halley step, so the check must refuse it."""
+    seed = fgenus._float_seed
+    monkeypatch.setattr(fgenus, "_float_seed", lambda x: seed(x) + 1e-3)
+    with pytest.raises(CrossCheckError, match="Halley step"):
+        H(g)
+
+
+def _equality_rank_by_counting(g: int) -> int | None:
+    n = 1
+    while (g_n := min_genus(n)) < g:
+        n += 1
+    return n if g_n == g else None
+
+
+def test_equality_rank_matches_counting_up_from_one():
+    genera = list(range(10**5 + 1))
+    genera += [min_genus(n) + d for n in range(1, 201) for d in (-1, 0, 1) if min_genus(n) + d >= 0]
+    for g in genera:
+        assert fgenus._equality_rank(g) == _equality_rank_by_counting(g), g
 
 
 def _H_reference(g) -> float:

@@ -16,9 +16,13 @@ three triangles plus m edges, drawn from the seed, at each m = 16..20,
 sizes that the seeded workloads do not reach, for ``fgenus.H`` on the
 seed's untimed known-defect probes
 (genera 1e26 to 1e30, each giving a repr or the exception type and
-message, so the onset of the defect is compared too), for
-``figure --gmax 5000`` and, on the line ``errors``, for a fixed set of
-bad inputs that each end in an error message and exit code 2 or 3.
+message, so the onset of the defect is compared too), on the line
+``H-grid`` for the repr of ``fgenus.H`` on every genus 0..5000, 400
+log-spaced ones below 1e26 and 200 floats drawn from the seed (``figure``
+prints H to nine decimals only, so a change in its last bits shows only
+here), for ``figure --gmax 5000`` and, on the line ``errors``, for a
+fixed set of bad inputs that each end in an error message and exit code
+2 or 3.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -112,6 +116,13 @@ def large_free_rank_jobs(Job, seed: int) -> list:
     return jobs
 
 
+def h_grid_jobs(Job, seed: int) -> list:
+    rng = random.Random(f"H-grid-{seed}")
+    genera = list(range(5001)) + [int(10 ** (26 * k / 400)) for k in range(400)]
+    genera += [10 ** rng.uniform(-3, 25.9) for _ in range(200)]
+    return [Job("H", (), "H", {"g": g}) for g in genera]
+
+
 def error_jobs(Job) -> list:
     """Bad inputs, each ending in a one-line error and exit code 2 or 3:
     unreadable and out-of-range complex files, both or neither source,
@@ -165,6 +176,7 @@ def main() -> int:
                           cli, fgenus))
         probes = workloads.known_defect_probes("envelope", args.seed)
         print(digest_line("H-probes", probes, cli, fgenus))
+        print(digest_line("H-grid", h_grid_jobs(workloads.Job, args.seed), cli, fgenus))
         figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
         print(digest_line("figure-5000", [figure], cli, fgenus))
         print(digest_line("errors", error_jobs(workloads.Job), cli, fgenus))
