@@ -102,9 +102,7 @@ class CoverComplex(NamedTuple):
     phi: tuple[int, ...]
     n: int
     sheets: int
-    vertex_count: int
     edge_count: int
-    face_count: int
     chi: int
     components: int
     orientable: bool
@@ -203,9 +201,7 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
         phi=rows,
         n=n,
         sheets=sheets,
-        vertex_count=sheets,
         edge_count=edge_count,
-        face_count=sheets,
         chi=chi,
         components=components,
         orientable=orientable,

@@ -39,12 +39,10 @@ from mpmath.libmp import (dps_to_prec, finf, fnan, fnone, fone, from_float, from
                           round_nearest, to_float)
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
-from . import gf2
 from .cover import build_cover, presentation
 from .errors import CapError, CrossCheckError, ValidationError
 
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_SHEETS = 1 << 16  # nor a cover with a deck group larger than this
 MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.03-0.04 ms
 
 
@@ -107,31 +105,24 @@ def f_bounds(g: int) -> FValue:
 def f_exact(g: int) -> FValue:
     """Exact f(g) where affordable.
 
-    Even a: f = n outright. Odd a: search for an n-dimensional row space
-    over the 2-a homology generators that contains the orientation
-    character. A greedy completion of {w} by standard basis vectors
-    always reaches rank n, since n <= 2 - a and w with the standard
-    basis spans GF(2)^(2-a); the matrix is certified by building the
-    cover and checking it is connected, orientable, and of genus g.
-    Quotient genus above MAX_QUOTIENT_RANK or deck group above
-    MAX_SHEETS returns the bounds unresolved.
+    Even a: f = n outright. Odd a: phi has the rows w, e_0, ..., e_{n-2}
+    over the h = 2 - a generators of the nonorientable base, w = 1...1
+    its orientation character. Since n <= h these rows are independent,
+    so the cover is connected, and w is among them, so it is orientable;
+    the matrix is certified by building the cover and checking it is
+    connected, orientable, and of genus g. Quotient genus h above
+    MAX_QUOTIENT_RANK, which also bounds the deck group by 2^h, returns
+    the bounds unresolved.
     """
     dec = decompose(g)
     if dec.a_even:
         return FValue(g, dec.n, dec.n, dec.n, "formula", True)
     n = dec.n
     h = 2 - dec.a
-    if h > MAX_QUOTIENT_RANK or (1 << n) > MAX_SHEETS:
+    if h > MAX_QUOTIENT_RANK:
         return FValue(g, n - 1, n, None, "cover-resolver", False)
     base = presentation(False, h)
-    w = base.orientation_character
-    rows: list[int] = [w]
-    for i in range(h):
-        if len(rows) == n:
-            break
-        e = 1 << i
-        if not gf2.in_span(e, rows):
-            rows.append(e)
+    rows = [base.orientation_character] + [1 << i for i in range(n - 1)]
     cc = build_cover(base, rows)
     if not (cc.components == 1 and cc.orientable and cc.genus == g):
         raise CrossCheckError(
@@ -354,15 +345,14 @@ class FigureRow(NamedTuple):
 
 
 def _figure_row(g: int) -> FigureRow:
-    dec = decompose(g)
     fv = f_exact(g)
     return FigureRow(
         g=g,
         f_lower=fv.lower,
         f_upper=fv.upper,
-        f_exact=fv.exact if fv.resolved else None,
+        f_exact=fv.exact,
         H=H(g),
-        equality=min_genus(dec.n) == g,
+        equality=min_genus(fv.upper) == g,
     )
 
 

@@ -130,8 +130,6 @@ def polygon_genus(m: int) -> int:
     """
     if m < 3:
         raise ValidationError(f"polygon genus needs m >= 3, got {m}")
-    if m == 3:
-        return 0
     return 1 + (1 << (m - 3)) * (m - 4)
 
 

@@ -3,7 +3,9 @@
 decompose is checked against a brute scan over all factorizations,
 lambert_w against mpmath's own implementation at 40 and 60 digits, H
 bit for bit against the float of mpmath's W at 80 digits, and the
-resolver's certificates against the covers they are built from.
+resolver's certificates against the covers they are built from and
+its rows against the greedy GF(2) completion of the orientation
+character.
 lambert_w and H run on raw mpmath.libmp tuples; ``oracle_lambert_w`` and
 ``oracle_H`` keep the same Halley loop written with mpf objects under
 ``workdps(40)``, and both must agree bit for bit, on the known defect's
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involab import fgenus
+from involab import fgenus, gf2
 from involab.action import max_free_rank
 from involab.errors import CapError, CrossCheckError, ValidationError
 from involab.fgenus import (
@@ -140,9 +142,54 @@ def test_resolver_certificates_name_the_right_cover():
         assert len(cert["phi"]) == report["n"]
 
 
+# the genera with odd a and a base of genus 2 - a <= 16: g = 1 - a 2^(n-1), 1 <= n <= 2 - a
+RESOLVED_GENERA = [1 - a * (1 << (n - 1)) for a in range(1, -14, -2) for n in range(1, 3 - a)]
+
+
+def greedy_completion(w: int, h: int, n: int) -> list[int]:
+    """Complete {w} to n independent rows by the first e_i outside the span."""
+    rows = [w]
+    for i in range(h):
+        if len(rows) == n:
+            break
+        if not gf2.in_span(1 << i, rows):
+            rows.append(1 << i)
+    return rows
+
+
+def test_resolver_rows_are_the_greedy_completion():
+    assert len(RESOLVED_GENERA) == len(set(RESOLVED_GENERA)) == 64
+    assert max(RESOLVED_GENERA) == 212_993
+    for g in RESOLVED_GENERA:
+        dec = decompose(g)
+        h = 2 - dec.a
+        assert not dec.a_even and dec.n <= h <= fgenus.MAX_QUOTIENT_RANK
+        fv = f_exact(g)
+        assert fv.resolved and fv.exact == dec.n
+        rows = [sum(bit << i for i, bit in enumerate(row)) for row in fv.certificate["phi"]]
+        greedy = greedy_completion((1 << h) - 1, h, dec.n)
+        assert len(greedy) == dec.n and rows == greedy
+
+
+def test_resolver_certifies_exactly_the_small_bases():
+    resolved = set(RESOLVED_GENERA)
+    for g in range(20_001):
+        fv = f_exact(g)
+        if fv.method == "cover-resolver":
+            assert fv.resolved == (g in resolved), g
+
+
+def test_figure_rows_agree_with_the_decomposition():
+    for row in figure1_data(600):
+        fv, dec = f_exact(row.g), decompose(row.g)
+        assert (row.f_lower, row.f_upper) == (fv.lower, fv.upper)
+        assert row.f_exact == (fv.exact if fv.resolved else None)
+        assert row.equality == (min_genus(dec.n) == row.g)
+
+
 def test_resolver_budgets(monkeypatch):
     # genus 18 needs a nonorientable base of genus 19
-    assert (fgenus.MAX_QUOTIENT_RANK, fgenus.MAX_SHEETS) == (16, 1 << 16)
+    assert fgenus.MAX_QUOTIENT_RANK == 16
     assert f_exact(18).resolved is False
     assert (f_exact(18).lower, f_exact(18).upper) == (0, 1)
     monkeypatch.setattr(fgenus, "MAX_QUOTIENT_RANK", 19)
@@ -150,12 +197,12 @@ def test_resolver_budgets(monkeypatch):
     assert fv.resolved and fv.exact == 1
     assert fv.certificate["cover"]["genus"] == 18
 
-    assert f_exact(5).resolved  # needs 8 sheets
-    monkeypatch.setattr(fgenus, "MAX_SHEETS", 4)
+    assert f_exact(5).resolved  # needs a base of genus 3
+    monkeypatch.setattr(fgenus, "MAX_QUOTIENT_RANK", 2)
     squeezed = f_exact(5)
     assert not squeezed.resolved
     assert (squeezed.lower, squeezed.upper) == (2, 3)
-    assert figure1_data(5)[5].f_exact is None  # the table reads the same budgets
+    assert figure1_data(5)[5].f_exact is None  # the table reads the same budget
 
 
 def test_min_genus_values():

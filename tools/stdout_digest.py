@@ -20,9 +20,12 @@ message, so the onset of the defect is compared too), on the line
 ``H-grid`` for the repr of ``fgenus.H`` on every genus 0..5000, 400
 log-spaced ones below 1e26 and 200 floats drawn from the seed (``figure``
 prints H to nine decimals only, so a change in its last bits shows only
-here), for ``figure --gmax 5000`` and, on the line ``errors``, for a
-fixed set of bad inputs that each end in an error message and exit code
-2 or 3.
+here), for ``figure --gmax 5000``, on the line ``f-resolver`` for
+``f --g G --exact`` on the 64 genera G = 1 - a 2^(n-1), odd a in
+[-13, 1] and 1 <= n <= 2 - a, which are exactly those whose certificate
+the resolver builds (``figure`` prints none of them), and, on the line
+``errors``, for a fixed set of bad inputs that each end in an error
+message and exit code 2 or 3.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
@@ -123,6 +126,11 @@ def h_grid_jobs(Job, seed: int) -> list:
     return [Job("H", (), "H", {"g": g}) for g in genera]
 
 
+def f_resolver_jobs(Job) -> list:
+    genera = [1 - a * (1 << (n - 1)) for a in range(1, -14, -2) for n in range(1, 3 - a)]
+    return [Job("f-resolver", ("f", "--g", str(g), "--exact"), "f") for g in genera]
+
+
 def error_jobs(Job) -> list:
     """Bad inputs, each ending in a one-line error and exit code 2 or 3:
     unreadable and out-of-range complex files, both or neither source,
@@ -179,6 +187,7 @@ def main() -> int:
         print(digest_line("H-grid", h_grid_jobs(workloads.Job, args.seed), cli, fgenus))
         figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
         print(digest_line("figure-5000", [figure], cli, fgenus))
+        print(digest_line("f-resolver", f_resolver_jobs(workloads.Job), cli, fgenus))
         print(digest_line("errors", error_jobs(workloads.Job), cli, fgenus))
     return 0
 
