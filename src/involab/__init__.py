@@ -31,7 +31,9 @@ from .cover import (
     presentation,
 )
 
-# the fgenus names load mpmath, so they are resolved on first use (PEP 562)
+# the fgenus names are resolved on first use (PEP 562), so that rzk, free-rank
+# and cover never load them; mpmath loads later still, with lambert_w or H's
+# route for mpf genera and from 10^26 on
 _FGENUS = {"FValue", "GenusDecomposition", "H", "decompose", "equality_genera", "f_bounds",
            "f_exact", "figure1_data", "lambert_w", "min_genus"}
 

@@ -14,8 +14,9 @@ Every cap is a fixed module constant, checked before the allocation it
 guards; no flag or environment variable moves one.
 
 Only ``f`` and ``figure`` use the genus arithmetic, so they import
-``fgenus`` (and with it mpmath) when they run; the other subcommands
-start without loading either.
+``fgenus`` when they run; the other subcommands start without loading
+it. Neither loads mpmath: ``fgenus`` imports it only for ``lambert_w``
+and for H on an mpf genus or one from 10^26 on.
 """
 
 from __future__ import annotations

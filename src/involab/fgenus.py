@@ -22,28 +22,28 @@ with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
 in exact integers, never through floats. Below g = 10^26 (H_FIXED_POINT_BELOW)
 H takes one Halley step for W from a float64 start in fixed-point Python
-ints at scale 2^-160 and rounds to float once; from there on it calls
-lambert_w, which iterates in 40-digit arithmetic (136-bit mpmath.libmp
-operations on raw tuples, without mpf objects or precision contexts).
+ints at scale 2^-160, with its own exponential and a 160-bit ln 2, and
+rounds to float once; from there on it calls lambert_w, which iterates
+in 40-digit arithmetic (136-bit mpmath.libmp operations on raw tuples,
+without mpf objects or precision contexts). Only lambert_w, and H on a
+genus that is not an int or float below 10^26 (an mpf, say), import
+mpmath, so ``f`` and ``figure`` never load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import mpmath
-from mpmath.libmp import (dps_to_prec, finf, fnan, fnone, fone, from_float, from_int, ftwo, fzero,
-                          mpf_abs, mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub,
-                          round_nearest, to_float)
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cover import build_cover, presentation
 from .errors import CapError, CrossCheckError, ValidationError
 
+if TYPE_CHECKING:
+    import mpmath
+
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.03-0.04 ms
+MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.015-0.025 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -159,12 +159,7 @@ def equality_genera(gmax: int) -> list[tuple[int, int]]:
 
 LAMBERT_TOL = 1e-13  # lambert_w stops once |w e^w - x| is at most this
 LAMBERT_MAX_STEPS = 100  # and raises CrossCheckError after this many Halley steps
-_PREC, _RND = dps_to_prec(40), round_nearest  # 136 bits: lambert_w's working precision
-with mpmath.workdps(40):  # raw tuples of its constants
-    _LN2 = mpmath.log(2)._mpf_
-    _BRANCH = (-mpmath.exp(-1))._mpf_  # W's branch point, W(-1/e) = -1
-    _BRANCH_SLACK = mpmath.mpf("1e-15")._mpf_  # float(-1/e) lies 1.2e-17 below it
-    _TOL = mpmath.mpf(LAMBERT_TOL)._mpf_
+_PREC = 136  # bits, mpmath's dps_to_prec(40): lambert_w's working precision
 _BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
 _MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
 _SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
@@ -199,6 +194,19 @@ def _float_seed(x: float) -> float:
     return w
 
 
+@cache
+def _mp_constants() -> tuple:
+    """ln 2, W's branch point -1/e, the rounding slack below it and
+    LAMBERT_TOL as raw 40-digit mpmath tuples, built on first use."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return (mpmath.log(2)._mpf_,
+                (-mpmath.exp(-1))._mpf_,  # W(-1/e) = -1
+                mpmath.mpf("1e-15")._mpf_,  # float(-1/e) lies 1.2e-17 below it
+                mpmath.mpf(LAMBERT_TOL)._mpf_)
+
+
 def lambert_w(x) -> mpmath.mpf:
     """Principal-branch Lambert W by Halley iteration.
 
@@ -206,7 +214,8 @@ def lambert_w(x) -> mpmath.mpf:
     operations, and returns an mpf, so the defining residual w*e^w - x
     is driven far below float precision even for large x (a float64
     result could not hold |residual| <= 1e-12 once x is big, its own ulp
-    gets in the way). It starts from W to about one ulp in float64
+    gets in the way). It imports mpmath when called. It starts from W to
+    about one ulp in float64
     (``_float_seed``), and Halley triples the correct digits, so one
     40-digit step suffices; that step is always taken, since a
     float-accurate start would pass the residual test unrefined at small
@@ -216,18 +225,25 @@ def lambert_w(x) -> mpmath.mpf:
     most LAMBERT_TOL; raises CrossCheckError if that takes more than
     LAMBERT_MAX_STEPS steps, and ValidationError below -1/e, at inf and nan.
     """
-    prec, rnd = _PREC, _RND
+    import mpmath
+    from mpmath.libmp import (finf, fnan, fnone, fone, from_float, from_int, ftwo, fzero,
+                              mpf_abs, mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt,
+                              mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub,
+                              round_nearest, to_float)
+
+    prec, rnd = _PREC, round_nearest
+    _, branch, slack, tol = _mp_constants()
     xm = mpf_pos(mpmath.mpf.mpf_convert_arg(x, prec, rnd), prec, rnd)  # mpmath.mpf(x)
     if xm in (finf, fnan):
         raise ValidationError(f"lambert_w needs a finite x, got {x!r}")
-    if mpf_lt(xm, _BRANCH):
-        if mpf_lt(mpf_sub(_BRANCH, xm, prec, rnd), _BRANCH_SLACK):
-            xm = _BRANCH  # rounding slack for callers handing us float(-1/e)
+    if mpf_lt(xm, branch):
+        if mpf_lt(mpf_sub(branch, xm, prec, rnd), slack):
+            xm = branch  # rounding slack for callers handing us float(-1/e)
         else:
             with mpmath.workdps(40):  # an mpf x prints its 40 digits
                 raise ValidationError(f"lambert_w needs x >= -1/e = "
-                                      f"{to_float(_BRANCH, rnd=rnd)!r}, got {x!r}")
-    if mpf_eq(xm, _BRANCH):
+                                      f"{to_float(branch, rnd=rnd)!r}, got {x!r}")
+    if mpf_eq(xm, branch):
         return mpmath.mpf(-1)
     if mpf_eq(xm, fzero):
         return mpmath.mpf(0)
@@ -244,7 +260,7 @@ def lambert_w(x) -> mpmath.mpf:
     for step in range(LAMBERT_MAX_STEPS):
         ew = mpf_exp(w, prec, rnd)
         f = mpf_sub(mpf_mul(w, ew, prec, rnd), xm, prec, rnd)
-        if step and mpf_le(mpf_abs(f, prec, rnd), _TOL):
+        if step and mpf_le(mpf_abs(f, prec, rnd), tol):
             break
         wp1 = mpf_add(w, fone, prec, rnd)  # w - f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
         c = mpf_div(mpf_mul(mpf_add(w, ftwo, prec, rnd), f, prec, rnd),
@@ -264,8 +280,40 @@ def lambert_w(x) -> mpmath.mpf:
 H_FIXED_POINT_BELOW = 10**26
 _FIX = 160  # fraction bits of H's fixed-point W; lambert_w works at 136
 _ONE = 1 << _FIX
-_LN2_FIX = ln2_fixed(_FIX)
+_LN2_FIX = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F34326  # floor(ln2 2^160), mpmath's ln2_fixed(160)
 _TOL_FIX = int(math.ldexp(LAMBERT_TOL, _FIX))
+_HALVINGS = 12  # _exp_fixed sums its series at 12 extra bits and squares 12 times
+
+
+def _exp_series(t: int, wp: int) -> int:
+    """e^t at scale 2^-wp, for |t| well below 1, by the Taylor series
+    split into its even terms and its odd terms over t."""
+    s0 = s1 = 1 << wp
+    a = t2 = t * t >> wp
+    k = 2
+    while a:
+        a //= k
+        s0 += a
+        a //= k + 1
+        s1 += a
+        k += 2
+        a = a * t2 >> wp
+    return s0 + (s1 * t >> wp)
+
+
+def _exp_fixed(x: int) -> int:
+    """e^x at scale 2^-_FIX, bit for bit mpmath's exp_fixed(x, 160, ln2).
+
+    x = n ln2 + t with 0 <= t < ln2. The series reads t at scale 2^-172,
+    that is as t / 2^12, and 12 squarings of its sum give e^t.
+    """
+    n, t = divmod(x, _LN2_FIX)
+    wp = _FIX + _HALVINGS
+    s = _exp_series(t, wp)
+    for _ in range(_HALVINGS):
+        s = s * s >> wp
+    s >>= _HALVINGS
+    return s << n if n >= 0 else s >> -n
 
 
 def _equality_rank(g: int) -> int | None:
@@ -282,26 +330,33 @@ def _equality_rank(g: int) -> int | None:
     return n if g_n == g else None
 
 
-def _envelope_fixed(gm: tuple, g) -> float:
+def _envelope_fixed(g_fix: int, g) -> float:
     """W((g-1) ln2 / 2)/ln2 + 2 in fixed-point ints at scale 2^-_FIX, for
-    the 136-bit tuple gm of a genus g below H_FIXED_POINT_BELOW.
+    g_fix = floor(g 2^_FIX) of a genus g below H_FIXED_POINT_BELOW.
 
-    One Halley step from the float64 seed, then the residual check of
-    lambert_w, |w e^w - x| <= LAMBERT_TOL, and one rounding to float by
-    exact integer division. Here |x| < 3.5e25 and w + 1 > 0.43, so 160
-    bits leave the residual within 1e-22 of its true value.
+    One Halley step w1 = w0 - d from the float64 seed w0, then the
+    residual check of lambert_w, |w1 e^w1 - x| <= LAMBERT_TOL, and one
+    rounding to float by exact integer division. The check reuses the
+    step's e^w0: e^w1 = e^w0 e^-d, where |d| is about an ulp of the seed,
+    so the series of e^-d stops after its d^3 term.
+
+    Here |x| < 3.5e25 and -ln2 <= w < 55. ``_exp_fixed`` reduces w0 by at
+    most 79 multiples of a 160-bit ln2, each off by under an ulp, and its
+    series and squarings add about 16 ulps, so e^w0 is within 2^-153
+    relative; e^-d and the two truncated products add a few ulps. The
+    computed residual is therefore within |x| 2^-153 + 2^-157 < 1e-20 of
+    w1 e^w1 - x for the ints w1 and x (at most 7.5e-22 on 4000 drawn
+    genera), far below LAMBERT_TOL.
     """
-    _, man, exp, _ = gm  # g = man * 2^exp >= 0
-    shift = exp + _FIX
-    g_fix = man << shift if shift >= 0 else man >> -shift
     x = (g_fix - _ONE) * _LN2_FIX >> _FIX + 1
     w = int(math.ldexp(_float_seed(x / _ONE), _FIX))
-    ew = exp_fixed(w, _FIX, _LN2_FIX)
+    ew = _exp_fixed(w)
     f = (w * ew >> _FIX) - x
-    wp1 = w + _ONE  # w - f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
+    wp1 = w + _ONE  # w - d, d = f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
     c = (w + 2 * _ONE) * f // (2 * wp1)
-    w -= (f << _FIX) // ((ew * wp1 >> _FIX) - c)
-    f = (w * exp_fixed(w, _FIX, _LN2_FIX) >> _FIX) - x
+    d = (f << _FIX) // ((ew * wp1 >> _FIX) - c)
+    w -= d
+    f = (w * (ew * _exp_series(-d, _FIX) >> _FIX) >> _FIX) - x
     if abs(f) > _TOL_FIX:
         raise CrossCheckError(f"H's Halley step left |w e^w - x| = {abs(f) / _ONE:.3g} "
                               f"above {LAMBERT_TOL} for g={g!r}")
@@ -313,26 +368,35 @@ def H(g) -> float:
 
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
     and is returned exactly (big-integer detection, no floats involved).
-    Other genera are first rounded to 136 bits, as mpmath.mpf(g) at 40
-    digits would be. Below H_FIXED_POINT_BELOW, W comes from one Halley
-    step in 160-bit fixed point (``_envelope_fixed``), from there on from
-    lambert_w at 40 digits; below the cut-off both give the same floats.
+    Below H_FIXED_POINT_BELOW, W comes from one Halley step in 160-bit
+    fixed point (``_envelope_fixed``). An int or float genus there is
+    exact in 136 bits and goes to fixed point without mpmath; any other
+    genus, and every genus from the cut-off on, is first rounded to 136
+    bits, as mpmath.mpf(g) at 40 digits would be. From the cut-off on, W
+    comes from lambert_w at 40 digits; below it both give the same floats.
     """
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
-    g_int = None
-    if isinstance(g, int):
-        g_int = g
-    elif isinstance(g, float) and g.is_integer():
-        g_int = int(g)
-    if g_int is not None and (n := _equality_rank(g_int)) is not None:
-        return float(n)
-    gm = mpf_pos(mpmath.mpf.mpf_convert_arg(g, _PREC, _RND), _PREC, _RND)  # mpmath.mpf(g)
+    if isinstance(g, (int, float)):
+        if g == int(g) and (n := _equality_rank(int(g))) is not None:
+            return float(n)
+        if g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
+            num, den = g.as_integer_ratio()
+            return _envelope_fixed((num << _FIX) // den, g)
+    import mpmath
+    from mpmath.libmp import (fone, ftwo, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub,
+                              round_nearest, to_float)
+
+    prec, rnd = _PREC, round_nearest
+    gm = mpf_pos(mpmath.mpf.mpf_convert_arg(g, prec, rnd), prec, rnd)  # mpmath.mpf(g)
     if g < H_FIXED_POINT_BELOW:
-        return _envelope_fixed(gm, g)
-    x = mpf_div(mpf_mul(mpf_sub(gm, fone, _PREC, _RND), _LN2, _PREC, _RND), ftwo, _PREC, _RND)
+        _, man, exp, _ = gm  # g = man * 2^exp >= 0
+        shift = exp + _FIX
+        return _envelope_fixed(man << shift if shift >= 0 else man >> -shift, g)
+    ln2 = _mp_constants()[0]
+    x = mpf_div(mpf_mul(mpf_sub(gm, fone, prec, rnd), ln2, prec, rnd), ftwo, prec, rnd)
     w = lambert_w(mpmath.mp.make_mpf(x))._mpf_
-    return to_float(mpf_add(mpf_div(w, _LN2, _PREC, _RND), ftwo, _PREC, _RND), rnd=_RND)
+    return to_float(mpf_add(mpf_div(w, ln2, prec, rnd), ftwo, prec, rnd), rnd=rnd)
 
 
 class FigureRow(NamedTuple):

@@ -10,7 +10,10 @@ lambert_w and H run on raw mpmath.libmp tuples; ``oracle_lambert_w`` and
 ``oracle_H`` keep the same Halley loop written with mpf objects under
 ``workdps(40)``, and both must agree bit for bit, on the known defect's
 genera too. Below 10^26 H runs its own fixed-point Halley step, which
-must give the same floats as the lambert_w route on drawn genera. The
+must give the same floats as the lambert_w route on drawn genera, and
+the same floats or error as ``oracle_envelope_two_exponentials``, the
+route with mpmath's exp_fixed for both exponentials; its int
+exponential must equal exp_fixed bit for bit. The
 equality genera are tied back to the cubical surfaces themselves at
 the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
@@ -22,6 +25,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath import libmp
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,15 +285,15 @@ def test_lambert_w_at_the_seed_switch_points_and_the_branch():
 def test_lambert_w_takes_one_40_digit_step(monkeypatch):
     """The float start leaves one Halley step to go: one exp for the
     step and one for the residual test on every call, counted at the
-    mpf_exp that lambert_w calls."""
+    mpf_exp that lambert_w imports from mpmath.libmp when called."""
     calls = []
-    mpf_exp = fgenus.mpf_exp
+    mpf_exp = libmp.mpf_exp
 
     def counting_exp(w, prec, rnd):
         calls.append(w)
         return mpf_exp(w, prec, rnd)
 
-    monkeypatch.setattr(fgenus, "mpf_exp", counting_exp)
+    monkeypatch.setattr(libmp, "mpf_exp", counting_exp)
     for k in range(120):
         x = 1e-3 * (3e28) ** (k / 119)  # log-spaced over [1e-3, 3e25]
         calls.clear()
@@ -420,17 +425,84 @@ def mpf_genera(draw) -> mpmath.mpf:
         return mpmath.mpf(p) / q
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+FIXED_POINT_GENERA = st.one_of(
     st.just(0) | LOG_UNIFORM_GENERA,
+    st.just(1e-300) | st.floats(5e-324, 1e-250),
     st.floats(0, 1, exclude_min=True, exclude_max=True),
     st.floats(1 - 1e-6, 1 + 1e-6).filter(lambda g: not g.is_integer()),
+    st.floats(1, 1e26, exclude_max=True),  # the float 1e26 lies above 10^26
     st.tuples(st.sampled_from(EQUALITY_GENERA), st.sampled_from([-0.5, 0.5]))
     .map(lambda t: t[0] + t[1]).filter(lambda g: g >= 0),
     mpf_genera(),
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIXED_POINT_GENERA)
 def test_H_fixed_point_route_matches_the_lambert_route_bit_for_bit(g):
     assert H(g) == H_by_lambert(g), g
+
+
+FIX = 160
+LN2_FIX = ln2_fixed(FIX)  # mpmath's 160-bit ln2
+
+
+def oracle_envelope_two_exponentials(g) -> float:
+    """H below 10^26 as it was before the residual check reused the Halley
+    step's exponential: g rounded to 136 bits by mpmath, and e^w from
+    mpmath's exp_fixed both for the step and for the check."""
+    if isinstance(g, int) or (isinstance(g, float) and g.is_integer()):
+        if (n := fgenus._equality_rank(int(g))) is not None:
+            return float(n)
+    _, man, exp, _ = libmp.mpf_pos(mpmath.mpf.mpf_convert_arg(g, 136, "n"), 136, "n")
+    shift = exp + FIX
+    g_fix = man << shift if shift >= 0 else man >> -shift
+    one, ln2 = 1 << FIX, LN2_FIX
+    x = (g_fix - one) * ln2 >> FIX + 1
+    w = int(math.ldexp(fgenus._float_seed(x / one), FIX))
+    ew = exp_fixed(w, FIX, ln2)
+    f = (w * ew >> FIX) - x
+    wp1 = w + one
+    c = (w + 2 * one) * f // (2 * wp1)
+    w -= (f << FIX) // ((ew * wp1 >> FIX) - c)
+    f = (w * exp_fixed(w, FIX, ln2) >> FIX) - x
+    if abs(f) > int(math.ldexp(fgenus.LAMBERT_TOL, FIX)):
+        raise CrossCheckError(f"H's Halley step left |w e^w - x| = {abs(f) / one:.3g} "
+                              f"above {fgenus.LAMBERT_TOL} for g={g!r}")
+    return (w + 2 * ln2) / ln2
+
+
+@settings(max_examples=400, deadline=None)
+@given(FIXED_POINT_GENERA)
+def test_H_matches_the_two_exponential_route_bit_for_bit(g):
+    assert outcome(H, g) == outcome(oracle_envelope_two_exponentials, g), g
+
+
+def test_ln2_literal_is_mpmaths_ln2_fixed():
+    assert fgenus._LN2_FIX == LN2_FIX
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.integers(-60 << FIX, 60 << FIX),
+    st.integers(-60 << FIX, 0),
+    st.integers(-1 << 100, 1 << 100),
+    st.builds(lambda k, d: k * LN2_FIX + d, st.integers(-90, 90), st.integers(-4, 4)),
+))
+def test_exp_fixed_is_mpmaths_exp_fixed_bit_for_bit(x):
+    assert fgenus._exp_fixed(x) == exp_fixed(x, FIX, LN2_FIX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << FIX - 9), 1 << FIX - 9))
+def test_exp_series_of_a_small_step_is_within_eight_ulps(d):
+    """e^-d for |d| < 2^-9, beyond the Halley step that H's residual check
+    takes (about an ulp of the seed, or 1e-3 when the seed is biased).
+    Each of the at most 7 terms of the even sum floors once, the odd sum's
+    product with t once more, and the floors inside a term shrink by d^2."""
+    with mpmath.workprec(400):
+        exact = mpmath.exp(-mpmath.mpf(d) / 2**FIX) * 2**FIX
+        assert abs(fgenus._exp_series(-d, FIX) - exact) <= 8
 
 
 def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
@@ -455,11 +527,13 @@ def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
 @pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1])
 def test_H_fixed_point_residual_check_is_live(g, monkeypatch):
     """A float seed 1e-3 off leaves a residual near 1e-10 or more after
-    one Halley step, so the check must refuse it."""
+    one Halley step, so the check must refuse it, reporting the residual
+    that a second exponential gives to three digits."""
     seed = fgenus._float_seed
     monkeypatch.setattr(fgenus, "_float_seed", lambda x: seed(x) + 1e-3)
     with pytest.raises(CrossCheckError, match="Halley step"):
         H(g)
+    assert outcome(H, g) == outcome(oracle_envelope_two_exponentials, g)
 
 
 def _equality_rank_by_counting(g: int) -> int | None:
@@ -528,7 +602,7 @@ def test_H_rejects_a_non_finite_genus_up_front(g, monkeypatch):
 
 @pytest.mark.parametrize("x", [float("inf"), float("nan"), mpmath.inf, mpmath.nan])
 def test_lambert_w_rejects_a_non_finite_x(x, monkeypatch):
-    monkeypatch.setattr(fgenus, "mpf_exp", None)  # refused before any Halley step
+    monkeypatch.setattr(libmp, "mpf_exp", None)  # refused before any Halley step
     with pytest.raises(ValidationError, match="finite"):
         lambert_w(x)
 

@@ -4,7 +4,9 @@
 so a fresh interpreter that runs them through ``involab.cli.main`` must
 load neither ``involab.fgenus`` nor mpmath, and no module of the
 package loads ``dataclasses``. The ``fgenus`` names are still reachable
-from the package, resolved on first use.
+from the package, resolved on first use. ``f`` and ``figure`` below
+10^26 load ``fgenus`` but not mpmath, which only ``lambert_w`` and H on
+an mpf genus or from 10^26 on import.
 
 The value types are NamedTuples: frozen, structurally equal and
 hashed, with the ``Name(field=value, ...)`` repr that error messages
@@ -60,16 +62,33 @@ def test_rzk_free_rank_and_cover_load_no_genus_arithmetic(tmp_path):
     assert json.loads(_fresh(code, str(phi))) == [[0, 0, 0], []]
 
 
-@pytest.mark.parametrize("argv", [["f", "--g", "3"], ["figure", "--gmax", "3"]])
+@pytest.mark.parametrize("argv", [["f", "--g", "3"], ["figure", "--gmax", "3"],
+                                  ["f", "--g", "5", "--exact"], ["f", "--g", "1000001", "--exact"],
+                                  ["figure", "--gmax", "50"]])
 def test_f_and_figure_load_the_genus_arithmetic_on_first_use(argv):
+    """They load ``fgenus`` when they run, and below 10^26 no mpmath with it."""
     code = (
         "import contextlib, io, sys\n"
         "from involab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, 'involab.fgenus' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "print(code, 'involab.fgenus' in sys.modules, 'dataclasses' in sys.modules,"
+        " 'mpmath' in sys.modules)\n"
     )
-    assert _fresh(code, *argv) == "0 True False\n"
+    assert _fresh(code, *argv) == "0 True False False\n"
+
+
+def test_H_loads_mpmath_for_an_mpf_genus_and_from_10_26_on():
+    code = (
+        "import sys\n"
+        "from involab.fgenus import H\n"
+        "out = [H(12.5), H(10**26 - 1), 'mpmath' in sys.modules, H(10**26),"
+        " 'mpmath' in sys.modules]\n"
+        "import mpmath\n"
+        "print(repr(out + [H(mpmath.mpf('12.5'))]))\n"
+    )
+    assert _fresh(code) == repr([3.731521584398194, 81.06516025522939, False,
+                                 81.06516025522939, True, 3.731521584398194]) + "\n"
 
 
 def test_star_import_binds_every_name_in_all():

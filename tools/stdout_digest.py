@@ -18,9 +18,10 @@ seed's untimed known-defect probes
 (genera 1e26 to 1e30, each giving a repr or the exception type and
 message, so the onset of the defect is compared too), on the line
 ``H-grid`` for the repr of ``fgenus.H`` on every genus 0..5000, 400
-log-spaced ones below 1e26 and 200 floats drawn from the seed (``figure``
-prints H to nine decimals only, so a change in its last bits shows only
-here), for ``figure --gmax 5000``, on the line ``f-resolver`` for
+log-spaced ones below 1e26, 200 floats and 100 60-digit mpf quotients
+below 1e26 drawn from the seed, and the ints 1e26 - 1, 1e26 and 1e26 + 1
+(``figure`` prints H to nine decimals only, so a change in its last bits
+shows only here), for ``figure --gmax 5000``, on the line ``f-resolver`` for
 ``f --g G --exact`` on the 64 genera G = 1 - a 2^(n-1), odd a in
 [-13, 1] and 1 <= n <= 2 - a, which are exactly those whose certificate
 the resolver builds (``figure`` prints none of them), and, on the line
@@ -43,6 +44,8 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+
+import mpmath
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -123,6 +126,11 @@ def h_grid_jobs(Job, seed: int) -> list:
     rng = random.Random(f"H-grid-{seed}")
     genera = list(range(5001)) + [int(10 ** (26 * k / 400)) for k in range(400)]
     genera += [10 ** rng.uniform(-3, 25.9) for _ in range(200)]
+    with mpmath.workdps(60):
+        for _ in range(100):
+            q = rng.randrange(1, 10**20)
+            genera.append(mpmath.mpf(rng.randrange(min(10**45, q * 10**26))) / q)
+    genera += [10**26 - 1, 10**26, 10**26 + 1]
     return [Job("H", (), "H", {"g": g}) for g in genera]
 
 
