@@ -22,8 +22,9 @@ The largest free rank is the real Buchstaber number s_R(K) = m - r
 (Fukukawa-Masuda 2011; Ayzenberg, arXiv:1003.0637), r the least
 dimension of a linear colouring: a map from K's vertices to GF(2)^r
 keeping every face independent, whose kernel acts freely (the quotient
-by a free subgroup is one). A colouring search gives r and the subgroup
-search stops at rank m - r, so the rank is certified from both sides.
+by a free subgroup is one). A colouring search gives r and a colouring
+λ, and the witness is ker λ, of rank m - r; its freeness is checked
+against the faces, so the rank is certified from both sides.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .rzk import CubicalSurface, orientability
 from .scomplex import SimplicialComplex, mask_of, vertices_of
 
-MAX_SEARCH_M = 24  # max_free_rank explores subspaces of GF(2)^m; refuse bigger m
+MAX_SEARCH_M = 24  # the colouring search is exponential in m; refuse bigger m
 
 
 class Subgroup(NamedTuple):
@@ -119,8 +120,9 @@ def orientation_sign(C: CubicalSurface, g: int) -> int:
     return -1 if g.bit_count() % 2 else 1
 
 
-def _colouring_dim(K: SimplicialComplex) -> int:
-    """The least r in which K has a linear colouring; s_R(K) = m - r.
+def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
+    """The least r in which K has a linear colouring, and one such colouring
+    λ as its values on the vertices (ghost vertices map to 0); s_R(K) = m - r.
 
     Vertices are assigned in decreasing edge degree, each a value in the
     span of those before or the next unit vector (breaking the GL(r)
@@ -175,68 +177,34 @@ def _colouring_dim(K: SimplicialComplex) -> int:
         return False
 
     r0 = max(K.dim + 1, clique.bit_count().bit_length())
-    return next((r for r in range(r0, len(order)) if assign(0, 0, r)), len(order))
+    r = next(r for r in range(r0, len(order) + 1) if assign(0, 0, r))
+    colouring = [0] * m
+    for v, w in zip(order, value):
+        colouring[v] = w
+    return r, colouring
 
 
 def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     """Largest rank of a freely acting subgroup, with a deterministic witness.
 
-    ``_colouring_dim`` gives the rank m - r, and a branch and bound over
-    canonical echelon bases finds a free subgroup of that rank: basis
-    vectors have strictly increasing pivots and zero bits on earlier
-    pivots, so each subspace is met once; candidates at every node are
-    tried in increasing mask order, so the first basis of rank m - r is
-    the first maximal one in that order. A candidate w with pivot p is
-    refused when w + s is a face f for some s in the span so far: f has
-    top bit p and s is the sum of the rows at the pivots in f, so one
-    small set per node and pivot holds every refused candidate. A branch
-    is cut when too few pivots remain to reach m - r; reaching none
-    raises CrossCheckError, and the witness goes through cross_check_free.
+    ``_colouring`` gives the least r and a colouring λ into GF(2)^r. The
+    witness is ker λ: in one echelon form of the rows (λ(e_v) << m) | e_v,
+    the rows with no bit at m or above are its canonical basis. Two
+    checks raise CrossCheckError: the kernel's rank must be m - r (a
+    larger kernel means λ is not onto, so r was not the least), and no
+    face may lie in it (``cross_check_free``).
     """
     if K.m > MAX_SEARCH_M:
         raise CapError(f"m={K.m} exceeds the free-rank search cap {MAX_SEARCH_M}")
     m = K.m
-    target = m - _colouring_dim(K)
-    by_top: list[list[int]] = [[] for _ in range(m + 1)]  # by_top[p + 1]: faces with top bit p
-    for f in K.faces:
-        by_top[f.bit_length()].append(f)
-    chosen: list[int] = []
-    row = [0] * m  # row[q]: the chosen vector with pivot q, for q in pivot_mask
-
-    def extend(last_pivot: int, pivot_mask: int) -> bool:
-        rank = len(chosen)
-        if rank == target:
-            return True
-        for p in range(last_pivot + 1, m - target + rank + 1):  # later pivots can reach it
-            blocked = set()
-            for f in by_top[p + 1]:
-                on = f & pivot_mask
-                while on:
-                    q = on.bit_length() - 1
-                    f ^= row[q]
-                    on ^= 1 << q
-                blocked.add(f)
-            top = 1 << p
-            free = (top - 1) & ~pivot_mask
-            sub = 0
-            while True:  # the subsets of free, ascending
-                w = top | sub
-                if w not in blocked:
-                    chosen.append(w)
-                    row[p] = w
-                    if extend(p, pivot_mask | top):
-                        return True
-                    chosen.pop()
-                if sub == free:
-                    break
-                sub = (sub - free) & free
-        return False
-
-    if not extend(-1, 0):
-        raise CrossCheckError(f"no free subgroup reaches the colouring bound {target}")
-    witness = Subgroup.from_generators(chosen)
+    r, colouring = _colouring(K)
+    rows = gf2.rref(w << m | 1 << v for v, w in enumerate(colouring))
+    kernel = tuple(b for b in rows if not b >> m)
+    witness = Subgroup(kernel, kernel)
+    if witness.rank != m - r:
+        raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")
     cross_check_free(K, witness)
-    return target, witness
+    return m - r, witness
 
 
 def cross_check_free(K: SimplicialComplex, H: Subgroup) -> None:

@@ -7,6 +7,8 @@ GF(2)^m (completeness of the enumeration is itself certified against
 the Gaussian binomial counts) and checking each span element by hand.
 """
 
+import itertools
+import random
 import time
 
 import pytest
@@ -255,13 +257,17 @@ def test_max_free_rank_deterministic_witness():
 
 
 def test_complete_graphs_stop_at_the_colouring_bound():
-    # K_m needs m distinct nonzero values, so the rank is m - ceil(log2(m + 1));
-    # without that bound the search spent more than 30 s proving it from m = 16
+    # K_m needs m distinct nonzero values, so the rank is m - ceil(log2(m + 1)); a
+    # subspace search took more than 30 s on these from m = 16, and 5 s on the
+    # random 2-complex at m = 24
     start = time.perf_counter()
-    for m in range(16, 25):
-        K = from_facets(m, [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)])
+    cases = [(from_facets(m, itertools.combinations(range(1, m + 1), 2)), m - m.bit_length())
+             for m in range(16, 25)]
+    triangles = random.Random(5).sample(list(itertools.combinations(range(1, 25), 3)), 60)
+    cases.append((from_facets(24, triangles), 21))
+    for K, want in cases:
         rank, witness = max_free_rank(K)
-        assert rank == m - m.bit_length() == witness.rank
+        assert rank == want == witness.rank
         assert is_free_subgroup(K, witness)
     assert time.perf_counter() - start < 5
 

@@ -1,18 +1,17 @@
-"""The free-rank search and the freeness test against span walks.
+"""The free-rank witness and the freeness test against span walks.
 
-``oracle_max_free_rank`` is the branch and bound that ``action`` used
-before it tested each candidate against a per-pivot set of refused
-vectors: it keeps the whole span of the partial basis in a list and
-scans all of it for every candidate. It walks the same candidates in
-the same order, so the rank, the echelon basis and the generators of
-the fast search must all equal its own on every complex.
-
-The fast search stops at rank m - r, where r is the least dimension of
-a linear colouring (``action._colouring_dim``), so its optimality rests
-on the colouring search. The Hypothesis test below compares it with
-this exhaustive oracle on random complexes with ghost vertices, graphs
-are checked against the chromatic number (s_R = m - ceil(log2(chi + 1))),
-and a colouring bound one too high must end in CrossCheckError.
+``max_free_rank`` takes its witness from the kernel of the linear
+colouring that ``action._colouring`` finds, so its rank m - r rests on
+the colouring search finding the least r. ``oracle_max_free_rank`` is
+an independent branch and bound over canonical echelon bases: it keeps
+the whole span of the partial basis in a list and scans all of it for
+every candidate. On every complex the fast rank must equal its rank,
+and the fast witness must be free by the span walk and be given by its
+canonical echelon basis. The Hypothesis test below makes the same
+comparison on random complexes with ghost vertices, graphs are checked
+against the chromatic number (s_R = m - ceil(log2(chi + 1))), and a
+planted colouring, whether one dimension too small or equal on the two
+ends of an edge, must end in CrossCheckError.
 
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
@@ -171,10 +170,9 @@ def test_search_agrees_with_the_span_scan(kind):
     for _ in range(KINDS[kind]):
         K = _random_complex(kind, rng)
         rank, witness = max_free_rank(K)
-        want_rank, want_basis = oracle_max_free_rank(K)
-        assert rank == want_rank, (kind, K)
-        assert list(witness.generators) == want_basis, (kind, K)
-        assert list(witness.basis) == gf2.rref(want_basis), (kind, K)
+        assert rank == oracle_max_free_rank(K)[0] == witness.rank, (kind, K)
+        assert oracle_is_free_subgroup(K, witness), (kind, K)
+        assert witness.generators == witness.basis == tuple(gf2.rref(witness.basis)), (kind, K)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -206,11 +204,9 @@ def complexes_with_ghosts(draw):
 @given(complexes_with_ghosts())
 def test_search_stopped_by_the_colouring_agrees_with_the_exhaustive_search(K):
     rank, witness = max_free_rank(K)
-    want_rank, want_basis = oracle_max_free_rank(K)
-    assert rank == want_rank
-    assert list(witness.generators) == want_basis
-    assert list(witness.basis) == gf2.rref(want_basis)
-    assert witness.generators == witness.basis  # the search builds the canonical basis
+    assert rank == oracle_max_free_rank(K)[0] == witness.rank
+    assert oracle_is_free_subgroup(K, witness)
+    assert witness.generators == witness.basis == tuple(gf2.rref(witness.basis))
 
 
 def chromatic_number(edges, vertices):
@@ -242,12 +238,27 @@ def test_graphs_follow_the_chromatic_number(m):
         assert max_free_rank(K)[0] == m - chi.bit_length(), (m, vertices, edges)
 
 
-@pytest.mark.parametrize("K", [from_facets(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]),
-                               from_facets(7, [(1, 2, 3), (3, 4), (5,)]),
-                               SimplicialComplex(4)], ids=["hexagon", "mixed", "empty"])
-def test_a_colouring_bound_above_the_free_rank_is_caught(K, monkeypatch):
-    colouring_dim = action._colouring_dim
-    r = colouring_dim(K)
-    monkeypatch.setattr(action, "_colouring_dim", lambda K: colouring_dim(K) - 1)
-    with pytest.raises(CrossCheckError, match=f"bound {K.m - r + 1}$"):
+HEXAGON = from_facets(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+COLOURING = action._colouring
+
+
+def one_dimension_too_small(K):
+    r, colouring = COLOURING(K)
+    return r - 1, colouring
+
+
+def equal_on_an_edge(K):
+    return 2, [1, 1, 2, 2, 3, 3]  # onto GF(2)^2, so the kernel has rank 4, but e_1 + e_2 is in it
+
+
+@pytest.mark.parametrize("K,planted,error", [
+    (HEXAGON, one_dimension_too_small, "kernel has rank 4, not 5$"),
+    (from_facets(7, [(1, 2, 3), (3, 4), (5,)]), one_dimension_too_small,
+     "kernel has rank 4, not 5$"),
+    (SimplicialComplex(4), one_dimension_too_small, "kernel has rank 4, not 5$"),
+    (HEXAGON, equal_on_an_edge, r"fixes the face \((1, 2|3, 4|5, 6)\)$"),
+], ids=["hexagon", "mixed", "empty", "edge"])
+def test_a_colouring_bound_above_the_free_rank_is_caught(K, planted, error, monkeypatch):
+    monkeypatch.setattr(action, "_colouring", planted)
+    with pytest.raises(CrossCheckError, match=error):
         max_free_rank(K)

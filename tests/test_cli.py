@@ -108,11 +108,10 @@ def test_cross_check_failure_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_free_rank_cross_check_failure_exits_4(capsys, monkeypatch):
-    from involab.action import Subgroup
+    from involab import action
 
-    # the search hands back a witness whose span holds the vertex {1}
-    planted = Subgroup.from_generators([0b1])
-    monkeypatch.setattr(Subgroup, "from_generators", staticmethod(lambda gens: planted))
+    # a colouring of the hexagon onto GF(2)^2 that puts the edge {1, 2} in its kernel
+    monkeypatch.setattr(action, "_colouring", lambda K: (2, [1, 1, 2, 2, 3, 3]))
     code, out, err = run(capsys, "free-rank", "--m", "6")
     assert code == 4
     assert out == ""
