@@ -13,9 +13,9 @@ the same answer disagreed (CrossCheckError, a bug in the package).
 Every cap is a fixed module constant, checked before the allocation it
 guards; no flag or environment variable moves one.
 
-Only ``f`` and ``figure`` use the genus arithmetic, so they import
-``fgenus`` when they run; the other subcommands start without loading
-it. Neither loads mpmath: ``fgenus`` imports it only for ``lambert_w``
+Each command imports the modules it runs when it runs; this module
+imports none but ``errors``. So only ``f`` and ``figure`` load ``fgenus``,
+and neither loads mpmath, which ``fgenus`` imports only for ``lambert_w``
 and for H on an mpf genus or one from 10^26 on.
 """
 
@@ -25,9 +25,12 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import action, cover, rzk, scomplex
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
+
+if TYPE_CHECKING:
+    from .scomplex import SimplicialComplex
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,7 +47,8 @@ def _boolean(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _load_complex(args: argparse.Namespace) -> scomplex.SimplicialComplex:
+def _load_complex(args: argparse.Namespace) -> SimplicialComplex:
+    from . import scomplex
     if (args.m is None) == (args.complex is None):
         raise ValidationError("give exactly one of --m and --complex")
     if args.m is not None:
@@ -56,6 +60,7 @@ def _load_complex(args: argparse.Namespace) -> scomplex.SimplicialComplex:
 
 
 def cmd_rzk(args: argparse.Namespace) -> int:
+    from . import rzk
     K = _load_complex(args)
     C = rzk.build(K)
     report = rzk.surface_report(C)
@@ -68,6 +73,7 @@ def cmd_rzk(args: argparse.Namespace) -> int:
 
 
 def cmd_free_rank(args: argparse.Namespace) -> int:
+    from . import action
     K = _load_complex(args)
     rank, witness = action.max_free_rank(K)
     if args.json:
@@ -82,7 +88,6 @@ def cmd_free_rank(args: argparse.Namespace) -> int:
 
 def cmd_f(args: argparse.Namespace) -> int:
     from . import fgenus
-
     if args.g < 0:
         raise ValidationError(f"--g must be nonnegative, got {args.g}")
     if not args.exact:
@@ -107,6 +112,7 @@ def cmd_f(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    from . import cover
     base = cover.presentation(args.orientable, args.genus)
     try:
         with open(args.phi, "r", encoding="utf-8") as fh:
@@ -121,7 +127,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     from . import fgenus
-
     # --threads is still accepted so that existing scripts keep working;
     # rows are always computed serially
     if args.threads < 1:
@@ -139,9 +144,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is bad input: exit 2, one stderr line
+        raise ValidationError(message)
+
+
 @functools.cache  # built on the first main() call, then shared by later calls
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="involab",
         description="Surfaces with free 2-torus symmetry: cubical models, "
         "free ranks, covers, and the genus envelope.",
@@ -181,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, NotASurfaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ bit fiddling. Canonical form used throughout: reduced row echelon, where
 the pivot of a row is its highest set bit, pivots are pairwise distinct,
 no row contains another row's pivot, and rows are sorted by pivot
 ascending. Every subspace has exactly one such basis, which is what makes
-deterministic witnesses and exhaustive subspace enumeration possible.
+witnesses deterministic.
 """
 
 from __future__ import annotations

@@ -80,13 +80,21 @@ def test_rzk_non_surface_is_reported_not_an_error(capsys, tmp_path):
         ["f", "--g", "-1"],
         ["figure", "--gmax", "-1"],
         ["figure", "--gmax", "3", "--threads", "0"],
+        # usage errors, which argparse reports
+        [],
+        ["nosuch"],
+        ["rzk", "--m", "x"],
+        ["rzk", "--m", "5", "--report", "xml"],
+        ["rzk", "--m", "5", "--bogus"],
+        ["cover", "--orientable", "maybe", "--genus", "1", "--phi", "phi.txt"],
+        ["f"],
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cross_check_failure_exits_4(capsys, monkeypatch, tmp_path):

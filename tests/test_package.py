@@ -1,12 +1,12 @@
 """The package's import contract and its value types.
 
-``rzk``, ``free-rank`` and ``cover`` never touch the genus arithmetic,
-so a fresh interpreter that runs them through ``involab.cli.main`` must
-load neither ``involab.fgenus`` nor mpmath, and no module of the
-package loads ``dataclasses``. The ``fgenus`` names are still reachable
-from the package, resolved on first use. ``f`` and ``figure`` below
-10^26 load ``fgenus`` but not mpmath, which only ``lambert_w`` and H on
-an mpf genus or from 10^26 on import.
+The package imports no module of its own until one of its public names
+is first read, and ``involab.cli`` imports only ``errors``; each
+subcommand then loads the modules it runs and no others. So ``rzk``,
+``free-rank`` and ``cover`` never load ``involab.fgenus``, ``f`` and
+``figure`` never load the surface code, and no module of the package
+loads ``dataclasses``. ``f`` and ``figure`` below 10^26 load no mpmath,
+which only ``lambert_w`` and H on an mpf genus or from 10^26 on import.
 
 The value types are NamedTuples: frozen, structurally equal and
 hashed, with the ``Name(field=value, ...)`` repr that error messages
@@ -30,7 +30,6 @@ from involab.rzk import SurfaceReport, build, verify_closed_surface
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
 SRC = Path(involab.__file__).resolve().parent.parent
-NOT_LOADED = ("mpmath", "involab.fgenus", "dataclasses")
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -40,26 +39,37 @@ def _fresh(code: str, *args: str) -> str:
     return done.stdout
 
 
+# prints the exit code of main() on the script's arguments, the involab modules
+# loaded, and which of mpmath and dataclasses are loaded
+MAIN = (
+    "import contextlib, io, json, sys\n"
+    "from involab.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:]) if sys.argv[1:] else None\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'involab'),"
+    " [m for m in ('mpmath', 'dataclasses') if m in sys.modules]]))\n"
+)
+CLI = ["involab", "involab.cli", "involab.errors"]
+
+
 def test_import_loads_no_genus_arithmetic():
-    code = f"import sys, involab.cli; print([m for m in {NOT_LOADED!r} if m in sys.modules])"
-    assert _fresh(code) == "[]\n"
+    assert json.loads(_fresh(MAIN)) == [None, CLI, []]
 
 
-def test_rzk_free_rank_and_cover_load_no_genus_arithmetic(tmp_path):
-    phi = tmp_path / "phi.txt"
-    phi.write_text("1 0 0 0\n0 1 0 0\n")
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from involab.cli import main\n"
-        "codes = []\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes.append(main(['rzk', '--m', '6']))\n"
-        "    codes.append(main(['free-rank', '--m', '6', '--witness']))\n"
-        "    codes.append(main(['cover', '--orientable', 'true', '--genus', '2',"
-        " '--phi', sys.argv[1]]))\n"
-        f"print(json.dumps([codes, [m for m in {NOT_LOADED!r} if m in sys.modules]]))\n"
-    )
-    assert json.loads(_fresh(code, str(phi))) == [[0, 0, 0], []]
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(["rzk", "--m", "6"], ["scomplex", "rzk", "glue"], id="rzk"),
+    pytest.param(["free-rank", "--m", "6", "--witness"],
+                 ["scomplex", "rzk", "glue", "action", "gf2"], id="free-rank"),
+    pytest.param(["cover", "--orientable", "true", "--genus", "2", "--phi", "phi.txt"],
+                 ["cover", "gf2"], id="cover"),
+    pytest.param(["f", "--g", "5", "--exact"], ["fgenus", "cover", "gf2"], id="f"),
+    pytest.param(["figure", "--gmax", "50"], ["fgenus", "cover", "gf2"], id="figure"),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    (tmp_path / "phi.txt").write_text("1 0 0 0\n0 1 0 0\n")
+    argv = [str(tmp_path / a) if a == "phi.txt" else a for a in argv]
+    expected = sorted(CLI + [f"involab.{m}" for m in modules])
+    assert json.loads(_fresh(MAIN, *argv)) == [0, expected, []]
 
 
 @pytest.mark.parametrize("argv", [["f", "--g", "3"], ["figure", "--gmax", "3"],
@@ -99,13 +109,13 @@ def test_star_import_binds_every_name_in_all():
         assert namespace[name] is getattr(involab, name)
 
 
-def test_lazy_names_are_the_fgenus_objects():
-    from involab import fgenus
-
-    assert involab.H is fgenus.H and involab.f_exact is fgenus.f_exact
-    for name in ("FValue", "GenusDecomposition", "H", "decompose", "equality_genera",
-                 "f_bounds", "f_exact", "figure1_data", "lambert_w", "min_genus"):
-        assert name in involab.__all__ and getattr(involab, name) is getattr(fgenus, name)
+def test_every_public_name_is_its_modules_object():
+    assert len(set(involab.__all__)) == len(involab.__all__) == 30
+    for name in involab.__all__:
+        obj = getattr(involab, name)
+        assert obj.__module__.startswith("involab.")
+        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert name in dir(involab)
 
 
 def test_unknown_attribute_raises_attribute_error():
