@@ -24,10 +24,9 @@ in exact integers, never through floats. Below g = 10^26 (H_FIXED_POINT_BELOW)
 H takes one Halley step for W from a float64 start in fixed-point Python
 ints at scale 2^-160, with its own exponential and a 160-bit ln 2, and
 rounds to float once; from there on it calls lambert_w, which iterates
-in 40-digit arithmetic (136-bit mpmath.libmp operations on raw tuples,
-without mpf objects or precision contexts). Only lambert_w, and H on a
-genus that is not an int or float below 10^26 (an mpf, say), import
-mpmath, so ``f`` and ``figure`` never load it.
+in 40-digit mpmath arithmetic. Only lambert_w, and H on a genus that is
+not an int or float below 10^26 (an mpf, say), import mpmath, so ``f``
+and ``figure`` never load it.
 """
 
 from __future__ import annotations
@@ -159,7 +158,6 @@ def equality_genera(gmax: int) -> list[tuple[int, int]]:
 
 LAMBERT_TOL = 1e-13  # lambert_w stops once |w e^w - x| is at most this
 LAMBERT_MAX_STEPS = 100  # and raises CrossCheckError after this many Halley steps
-_PREC = 136  # bits, mpmath's dps_to_prec(40): lambert_w's working precision
 _BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
 _MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
 _SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
@@ -197,25 +195,24 @@ def _float_seed(x: float) -> float:
 @cache
 def _mp_constants() -> tuple:
     """ln 2, W's branch point -1/e, the rounding slack below it and
-    LAMBERT_TOL as raw 40-digit mpmath tuples, built on first use."""
+    LAMBERT_TOL as 40-digit mpfs, built on first use."""
     import mpmath
 
     with mpmath.workdps(40):
-        return (mpmath.log(2)._mpf_,
-                (-mpmath.exp(-1))._mpf_,  # W(-1/e) = -1
-                mpmath.mpf("1e-15")._mpf_,  # float(-1/e) lies 1.2e-17 below it
-                mpmath.mpf(LAMBERT_TOL)._mpf_)
+        return (mpmath.log(2),
+                -mpmath.exp(-1),  # W(-1/e) = -1
+                mpmath.mpf("1e-15"),  # float(-1/e) lies 1.2e-17 below it
+                mpmath.mpf(LAMBERT_TOL))
 
 
 def lambert_w(x) -> mpmath.mpf:
     """Principal-branch Lambert W by Halley iteration.
 
-    Works in 40-digit arithmetic, done as 136-bit mpmath.libmp tuple
-    operations, and returns an mpf, so the defining residual w*e^w - x
-    is driven far below float precision even for large x (a float64
-    result could not hold |residual| <= 1e-12 once x is big, its own ulp
-    gets in the way). It imports mpmath when called. It starts from W to
-    about one ulp in float64
+    Works in 40-digit mpmath arithmetic and returns an mpf, so the
+    defining residual w*e^w - x is driven far below float precision even
+    for large x (a float64 result could not hold |residual| <= 1e-12 once
+    x is big, its own ulp gets in the way). It imports mpmath when
+    called. It starts from W to about one ulp in float64
     (``_float_seed``), and Halley triples the correct digits, so one
     40-digit step suffices; that step is always taken, since a
     float-accurate start would pass the residual test unrefined at small
@@ -226,51 +223,39 @@ def lambert_w(x) -> mpmath.mpf:
     LAMBERT_MAX_STEPS steps, and ValidationError below -1/e, at inf and nan.
     """
     import mpmath
-    from mpmath.libmp import (finf, fnan, fnone, fone, from_float, from_int, ftwo, fzero,
-                              mpf_abs, mpf_add, mpf_div, mpf_e, mpf_eq, mpf_exp, mpf_le, mpf_lt,
-                              mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_sqrt, mpf_sub,
-                              round_nearest, to_float)
 
-    prec, rnd = _PREC, round_nearest
-    _, branch, slack, tol = _mp_constants()
-    xm = mpf_pos(mpmath.mpf.mpf_convert_arg(x, prec, rnd), prec, rnd)  # mpmath.mpf(x)
-    if xm in (finf, fnan):
-        raise ValidationError(f"lambert_w needs a finite x, got {x!r}")
-    if mpf_lt(xm, branch):
-        if mpf_lt(mpf_sub(branch, xm, prec, rnd), slack):
-            xm = branch  # rounding slack for callers handing us float(-1/e)
+    with mpmath.workdps(40):  # an mpf x prints its 40 digits in the messages
+        xm = mpmath.mpf(x)
+        if not xm < mpmath.inf:  # +inf or nan; -inf fails the branch test below
+            raise ValidationError(f"lambert_w needs a finite x, got {x!r}")
+        _, branch, slack, tol = _mp_constants()
+        if xm < branch:
+            if branch - xm < slack:
+                xm = branch  # rounding slack for callers handing us float(-1/e)
+            else:
+                raise ValidationError(
+                    f"lambert_w needs x >= -1/e = {float(branch)!r}, got {x!r}"
+                )
+        if xm == branch:
+            return mpmath.mpf(-1)
+        if xm == 0:
+            return mpmath.mpf(0)
+        if xm < _MP_SERIES_CUT:
+            p = mpmath.sqrt(2 * (mpmath.e * xm + 1))
+            w = -1 + p - p**2 / 3 + 11 * p**3 / 72
+            w += -43 * p**4 / 540 + 769 * p**5 / 17280
         else:
-            with mpmath.workdps(40):  # an mpf x prints its 40 digits
-                raise ValidationError(f"lambert_w needs x >= -1/e = "
-                                      f"{to_float(branch, rnd=rnd)!r}, got {x!r}")
-    if mpf_eq(xm, branch):
-        return mpmath.mpf(-1)
-    if mpf_eq(xm, fzero):
-        return mpmath.mpf(0)
-    if mpf_lt(xm, from_float(_MP_SERIES_CUT)):
-        p = mpf_add(mpf_mul(mpf_e(prec, rnd), xm, prec, rnd), fone, prec, rnd)
-        p = mpf_sqrt(mpf_mul_int(p, 2, prec, rnd), prec, rnd)
-        t = [mpf_div(mpf_mul_int(mpf_pow_int(p, k, prec, rnd), c, prec, rnd), from_int(d),
-                     prec, rnd)  # c p^k / d; (-p^2)/3 is -(p^2/3), as negation is exact
-             for k, c, d in ((2, -1, 3), (3, 11, 72), (4, -43, 540), (5, 769, 17280))]
-        w = mpf_add(mpf_add(mpf_add(p, fnone, prec, rnd), t[0], prec, rnd), t[1], prec, rnd)
-        w = mpf_add(w, mpf_add(t[2], t[3], prec, rnd), prec, rnd)
-    else:
-        w = from_float(_float_seed(to_float(xm, rnd=rnd)))
-    for step in range(LAMBERT_MAX_STEPS):
-        ew = mpf_exp(w, prec, rnd)
-        f = mpf_sub(mpf_mul(w, ew, prec, rnd), xm, prec, rnd)
-        if step and mpf_le(mpf_abs(f, prec, rnd), tol):
-            break
-        wp1 = mpf_add(w, fone, prec, rnd)  # w - f / (ew wp1 - c), c = (w + 2) f / (2 wp1)
-        c = mpf_div(mpf_mul(mpf_add(w, ftwo, prec, rnd), f, prec, rnd),
-                    mpf_mul_int(wp1, 2, prec, rnd), prec, rnd)
-        w = mpf_sub(w, mpf_div(f, mpf_sub(mpf_mul(ew, wp1, prec, rnd), c, prec, rnd),
-                               prec, rnd), prec, rnd)
-    else:
-        with mpmath.workdps(40):
+            w = mpmath.mpf(_float_seed(float(xm)))
+        for step in range(LAMBERT_MAX_STEPS):
+            ew = mpmath.exp(w)
+            f = w * ew - xm
+            if step and abs(f) <= tol:
+                break
+            wp1 = w + 1
+            w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
+        else:
             raise CrossCheckError(f"lambert_w failed to converge for x={x!r}")
-    return mpmath.mp.make_mpf(w)
+        return w
 
 
 # H takes the fixed-point route below this genus and lambert_w from it on,
@@ -278,7 +263,7 @@ def lambert_w(x) -> mpmath.mpf:
 # about g = 10^27). The split goes away once lambert_w's stop rule is fixed
 # (ROADMAP items 1 and 8): the fixed-point route then takes every g.
 H_FIXED_POINT_BELOW = 10**26
-_FIX = 160  # fraction bits of H's fixed-point W; lambert_w works at 136
+_FIX = 160  # fraction bits of H's fixed-point W; lambert_w works at 40 digits
 _ONE = 1 << _FIX
 _LN2_FIX = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F34326  # floor(ln2 2^160), mpmath's ln2_fixed(160)
 _TOL_FIX = int(math.ldexp(LAMBERT_TOL, _FIX))
@@ -370,10 +355,10 @@ def H(g) -> float:
     and is returned exactly (big-integer detection, no floats involved).
     Below H_FIXED_POINT_BELOW, W comes from one Halley step in 160-bit
     fixed point (``_envelope_fixed``). An int or float genus there is
-    exact in 136 bits and goes to fixed point without mpmath; any other
-    genus, and every genus from the cut-off on, is first rounded to 136
-    bits, as mpmath.mpf(g) at 40 digits would be. From the cut-off on, W
-    comes from lambert_w at 40 digits; below it both give the same floats.
+    exact at 40 digits and goes to fixed point without mpmath; any other
+    genus, and every genus from the cut-off on, is first rounded to
+    mpmath.mpf(g) at 40 digits. From the cut-off on, W comes from
+    lambert_w at 40 digits; below it both give the same floats.
     """
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
@@ -384,19 +369,15 @@ def H(g) -> float:
             num, den = g.as_integer_ratio()
             return _envelope_fixed((num << _FIX) // den, g)
     import mpmath
-    from mpmath.libmp import (fone, ftwo, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub,
-                              round_nearest, to_float)
 
-    prec, rnd = _PREC, round_nearest
-    gm = mpf_pos(mpmath.mpf.mpf_convert_arg(g, prec, rnd), prec, rnd)  # mpmath.mpf(g)
-    if g < H_FIXED_POINT_BELOW:
-        _, man, exp, _ = gm  # g = man * 2^exp >= 0
+    gm = mpmath.mpf(g, dps=40)
+    if g < H_FIXED_POINT_BELOW:  # g's message prints at the caller's precision
+        man, exp = gm.man_exp  # g = man * 2^exp >= 0
         shift = exp + _FIX
         return _envelope_fixed(man << shift if shift >= 0 else man >> -shift, g)
     ln2 = _mp_constants()[0]
-    x = mpf_div(mpf_mul(mpf_sub(gm, fone, prec, rnd), ln2, prec, rnd), ftwo, prec, rnd)
-    w = lambert_w(mpmath.mp.make_mpf(x))._mpf_
-    return to_float(mpf_add(mpf_div(w, ln2, prec, rnd), ftwo, prec, rnd), rnd=rnd)
+    with mpmath.workdps(40):
+        return float(lambert_w((gm - 1) * ln2 / 2) / ln2 + 2)
 
 
 class FigureRow(NamedTuple):

@@ -6,10 +6,10 @@ bit for bit against the float of mpmath's W at 80 digits, and the
 resolver's certificates against the covers they are built from and
 its rows against the greedy GF(2) completion of the orientation
 character.
-lambert_w and H run on raw mpmath.libmp tuples; ``oracle_lambert_w`` and
-``oracle_H`` keep the same Halley loop written with mpf objects under
-``workdps(40)``, and both must agree bit for bit, on the known defect's
-genera too. Below 10^26 H runs its own fixed-point Halley step, which
+``oracle_lambert_w`` and ``oracle_H`` are the frozen form of lambert_w
+and H's 40-digit route: the same Halley loop as mpf expressions under
+``workdps(40)``, which ``src/`` must keep matching bit for bit, on the
+known defect's genera too. Below 10^26 H runs its own fixed-point Halley step, which
 must give the same floats as the lambert_w route on drawn genera, and
 the same floats or error as ``oracle_envelope_two_exponentials``, the
 route with mpmath's exp_fixed for both exponentials; its int
@@ -284,16 +284,17 @@ def test_lambert_w_at_the_seed_switch_points_and_the_branch():
 
 def test_lambert_w_takes_one_40_digit_step(monkeypatch):
     """The float start leaves one Halley step to go: one exp for the
-    step and one for the residual test on every call, counted at the
-    mpf_exp that lambert_w imports from mpmath.libmp when called."""
+    step and one for the residual test on every call, counted at
+    mpmath.exp once a first call has built the cached constants."""
+    lambert_w(1)
     calls = []
-    mpf_exp = libmp.mpf_exp
+    exp = mpmath.exp
 
-    def counting_exp(w, prec, rnd):
+    def counting_exp(w):
         calls.append(w)
-        return mpf_exp(w, prec, rnd)
+        return exp(w)
 
-    monkeypatch.setattr(libmp, "mpf_exp", counting_exp)
+    monkeypatch.setattr(mpmath, "exp", counting_exp)
     for k in range(120):
         x = 1e-3 * (3e28) ** (k / 119)  # log-spaced over [1e-3, 3e25]
         calls.clear()
@@ -362,11 +363,12 @@ def outcome(f, arg):
 
 def test_lambert_w_matches_the_mpf_object_loop_bit_for_bit():
     """Same raw tuple, or same exception and message, on the branch point
-    and below it, the 40-digit series cut, the seed's switch points and
-    log-spaced x up to 3e25 and past the known defect."""
+    and below it down to -inf, the 40-digit series cut, the seed's switch
+    points and log-spaced x up to 3e25 and past the known defect."""
     cut = fgenus._MP_SERIES_CUT
     e_inv = -1 / math.e
-    xs = [e_inv, -0.27, 3.0, cut, 0, 0.0, 1, -0.5, 1e27, 1e30, "0.25", mpmath.e]
+    xs = [e_inv, -0.27, 3.0, cut, 0, 0.0, 1, -0.5, 1e27, 1e30, "0.25", mpmath.e,
+          float("-inf"), -mpmath.inf]
     for x0 in (e_inv, -0.27, 3.0, cut):
         for d in (-1, 1):
             x = x0
@@ -524,11 +526,13 @@ def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
         assert len(calls) == 1, g
 
 
-@pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1])
+@pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1,
+                               mpmath.mpf(10) ** 20 / 3])
 def test_H_fixed_point_residual_check_is_live(g, monkeypatch):
     """A float seed 1e-3 off leaves a residual near 1e-10 or more after
     one Halley step, so the check must refuse it, reporting the residual
-    that a second exponential gives to three digits."""
+    that a second exponential gives to three digits, and an mpf genus at
+    the caller's precision."""
     seed = fgenus._float_seed
     monkeypatch.setattr(fgenus, "_float_seed", lambda x: seed(x) + 1e-3)
     with pytest.raises(CrossCheckError, match="Halley step"):
@@ -602,7 +606,7 @@ def test_H_rejects_a_non_finite_genus_up_front(g, monkeypatch):
 
 @pytest.mark.parametrize("x", [float("inf"), float("nan"), mpmath.inf, mpmath.nan])
 def test_lambert_w_rejects_a_non_finite_x(x, monkeypatch):
-    monkeypatch.setattr(libmp, "mpf_exp", None)  # refused before any Halley step
+    monkeypatch.setattr(mpmath, "exp", None)  # refused before any Halley step
     with pytest.raises(ValidationError, match="finite"):
         lambert_w(x)
 
