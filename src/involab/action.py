@@ -37,6 +37,15 @@ from .rzk import CubicalSurface, orientability
 from .scomplex import SimplicialComplex, mask_of, vertices_of
 
 MAX_SEARCH_M = 24  # the colouring search is exponential in m; refuse bigger m
+# The colouring search's budget. A step is one assign call or one span element
+# of the values it must avoid, 130-330 ns on every family measured, while a
+# call took from 5 us (sparse complexes) to 1 ms (all 5-sets of 16 vertices).
+# Steps taken: K_24 577 (25 calls), every triangle on 16 vertices 2,259 (17),
+# the m = 24, 60-triangle complex of test_complete_graphs_stop_at_the_colouring_bound
+# 98,538 (5,274), 180 random 2-complexes at m = 20-24 with 40-120 triangles at
+# most 293,346 (17,026 calls, 0.1 s). All triangles on 17 vertices (a full search
+# takes far over 30 s) and all 3-, 4- or 5-sets on up to 24 exit 3 after 1-1.7 s.
+MAX_SEARCH_STEPS = 6_000_000
 
 
 class Subgroup(NamedTuple):
@@ -66,14 +75,24 @@ class Subgroup(NamedTuple):
 def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
     """A nonzero face of K in the span of H, or 0 if there is none.
 
-    Reduces each face by H's echelon basis: O(|K| rank), not 2^rank.
+    Against H's reduced echelon basis the reduction of a vector is linear:
+    it takes off the row b of each pivot p the vector has, and no row holds
+    another's pivot. So each vertex v has a syndrome, the reduction of e_v:
+    e_v off the pivots, b ^ e_p at the pivot p of row b, and a face lies in
+    the span iff the syndromes of its vertices add up to 0. That takes
+    O(sum of |f|), not O(|K| rank) or 2^rank.
     """
-    rows = [(b, gf2.pivot(b)) for b in H.basis]
+    syndrome = [1 << v for v in range(K.m)]
+    for b in H.basis:
+        p = b.bit_length() - 1
+        if p < K.m:  # a pivot at m or above is in no face
+            syndrome[p] = b ^ 1 << p
     for f in K.faces:
-        rest = f
-        for b, p in rows:
-            if rest >> p & 1:
-                rest ^= b
+        rest, g = 0, f
+        while g:
+            low = g & -g
+            rest ^= syndrome[low.bit_length() - 1]
+            g ^= low
         if f and not rest:
             return f
     return 0
@@ -129,7 +148,7 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
     symmetry) outside the span of the rest of every largest face that it
     closes. r starts at dim K + 1 and at the bit length of a greedy
     clique, which needs distinct nonzero values; one unit vector per
-    vertex always works.
+    vertex always works. Past MAX_SEARCH_STEPS steps it raises CapError.
     """
     faces, m = K.faces, K.m
     nbr = [0] * m
@@ -145,6 +164,7 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
         if clique & nbr[v] == clique:  # v meets the whole clique so far
             clique |= 1 << v
     closing: list[list[int]] = [[] for _ in order]  # by position: the others' positions
+    cost = [1] * (len(order) + 1)  # by position: an assign call and the span elements it builds
     for f in faces:
         if f & (f - 1):
             rest, g = [], f
@@ -158,9 +178,15 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
                 grow &= grow - 1
             if not grow:
                 closing[last].append(rest)
+                cost[last] += 1 << len(rest)
     value = [0] * len(order)  # by position
+    steps = 0
 
     def assign(i: int, d: int, r: int) -> bool:
+        nonlocal steps
+        steps += cost[i]
+        if steps > MAX_SEARCH_STEPS:
+            raise CapError(f"the colouring search passed its budget of {MAX_SEARCH_STEPS} steps")
         if i == len(order):
             return True
         forbidden = {0}

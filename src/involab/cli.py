@@ -149,8 +149,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-@functools.cache  # built on the first main() call, then shared by later calls
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built on the first main() call, then shared by later calls
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = _Parser(
         prog="involab",
         description="Surfaces with free 2-torus symmetry: cubical models, "
@@ -187,12 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_figure)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
     try:
-        args = build_parser().parse_args(argv)
+        # the top-level parser hands a known command all that follows it,
+        # so that command's parser alone gives the same result; the rest
+        # (no command, an unknown one, -h) needs the top-level parser
+        command = commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except (ValidationError, NotASurfaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

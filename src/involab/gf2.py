@@ -27,20 +27,33 @@ def rref(vectors: Iterable[int]) -> list[int]:
     Returns rows sorted by pivot ascending; the zero vector contributes
     nothing. Independent of input order and multiplicity.
     """
-    # kept fully reduced and sorted ascending: the pivots are distinct
-    # highest bits, so value order is pivot order
-    basis: list[int] = []
+    # forward: each vector loses its highest bit while another row has it
+    # as pivot, and is kept under the first pivot that no row has
+    rows: dict[int, int] = {}
     for v in vectors:
-        for b in basis:
-            if v >> (b.bit_length() - 1) & 1:
-                v ^= b
-        if v == 0:
-            continue
-        p = pivot(v)
-        basis = [b ^ v if (b >> p) & 1 else b for b in basis]
-        basis.append(v)
-        basis.sort()
-    return basis
+        if v < 0:
+            raise ValueError("pivot of a nonpositive vector is undefined")
+        while v:
+            p = v.bit_length() - 1
+            b = rows.get(p)
+            if b is None:
+                rows[p] = v
+                break
+            v ^= b
+    # back: clear the lower pivots from each row, in ascending pivot order;
+    # a reduced row holds no pivot but its own, so one pass per row suffices
+    reduced: dict[int, int] = {}
+    below = 0  # the pivots of the rows reduced so far
+    for p in sorted(rows):
+        v = rows[p]
+        hits = v & below
+        while hits:
+            q = hits.bit_length() - 1
+            v ^= reduced[q]
+            hits ^= 1 << q
+        reduced[p] = v
+        below |= 1 << p
+    return list(reduced.values())
 
 
 def rank(vectors: Iterable[int]) -> int:

@@ -31,7 +31,14 @@ def mask_of(vertices: Iterable[int], m: int) -> int:
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based vertices of a face mask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+    if mask < 0:  # infinitely many set bits
+        raise ValueError("a face mask is nonnegative")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 def _downward_closure(facets: list[int]) -> frozenset[int]:
@@ -64,7 +71,7 @@ class SimplicialComplex(_Complex):
     def __new__(cls, m: int, faces: frozenset[int] = frozenset({0})) -> SimplicialComplex:
         if m < 0:
             raise ValidationError("m must be nonnegative")
-        for f in faces:
+        for f in faces:  # faster than min() and max(); a negative f >> m is -1
             if f >> m:
                 raise ValidationError("face mask exceeds ambient vertex set")
         if 0 not in faces:
@@ -74,7 +81,7 @@ class SimplicialComplex(_Complex):
     @property
     def dim(self) -> int:
         """Dimension: largest face cardinality minus one; -1 for {0} alone."""
-        return max(f.bit_count() for f in self.faces) - 1
+        return max(map(int.bit_count, self.faces)) - 1
 
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -106,9 +113,9 @@ def parse_complex(text: str) -> SimplicialComplex:
     """
     data: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            data.append((lineno, line.split()))
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            data.append((lineno, tokens))
     if not data:
         raise ValidationError("empty complex description")
     lineno, head = data[0]

@@ -16,7 +16,10 @@ ends of an edge, must end in CrossCheckError.
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
 ``is_free_subgroup`` did before it reduced the faces by the subgroup's
-echelon basis instead. ``apply``, the action of an element on a cell,
+echelon basis instead. ``oracle_face_in_span`` is that reduction: it
+reduces each face by every basis row in turn, as ``_face_in_span`` did
+before it added up per-vertex syndromes, and both must report the same
+first face of ``K.faces``, or 0. ``apply``, the action of an element on a cell,
 and ``subspace_bases``, every subspace of GF(2)^dim once, serve the
 brute-force checks in ``test_action.py`` and ``test_acceptance.py``.
 """
@@ -32,7 +35,7 @@ from involab import action, gf2
 from involab.action import Subgroup, is_free_subgroup, max_free_rank
 from involab.errors import CrossCheckError
 from involab.rzk import Cell
-from involab.scomplex import SimplicialComplex, from_facets
+from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
 
 def apply(g, cell):
@@ -76,6 +79,19 @@ def span_elements(H):
 
 def oracle_is_free_subgroup(K, H):
     return not any(g and g in K.faces for g in span_elements(H))
+
+
+def oracle_face_in_span(K, H):
+    """The first nonzero face of K that H's echelon basis reduces to 0, or 0."""
+    rows = [(b, gf2.pivot(b)) for b in H.basis]
+    for f in K.faces:
+        rest = f
+        for b, p in rows:
+            if rest >> p & 1:
+                rest ^= b
+        if f and not rest:
+            return f
+    return 0
 
 
 def oracle_max_free_rank(K):
@@ -207,6 +223,25 @@ def test_search_stopped_by_the_colouring_agrees_with_the_exhaustive_search(K):
     assert rank == oracle_max_free_rank(K)[0] == witness.rank
     assert oracle_is_free_subgroup(K, witness)
     assert witness.generators == witness.basis == tuple(gf2.rref(witness.basis))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(complexes_with_ghosts(), st.data())
+def test_syndromes_find_the_face_that_the_basis_reduction_finds(K, data):
+    # generators reach two bits past K's vertices, so some basis rows have
+    # their pivot outside the vertex range
+    vectors = st.integers(0, (1 << K.m + 2) - 1)
+    H = Subgroup.from_generators(data.draw(st.lists(vectors, max_size=K.m + 2)))
+    assert action._face_in_span(K, H) == oracle_face_in_span(K, H)
+
+
+@pytest.mark.parametrize("generators,face", [
+    ([0b1_0011, 0b100_0001], 0),  # pivots 4 and 6 lie past the square's vertices
+    ([0b0011, 0b10_0101], 0b0011),  # the edge {1, 2} beside a row with pivot 5
+])
+def test_syndromes_take_basis_rows_outside_the_vertex_range(generators, face):
+    K, H = polygon_boundary(4), Subgroup.from_generators(generators)
+    assert action._face_in_span(K, H) == oracle_face_in_span(K, H) == face
 
 
 def chromatic_number(edges, vertices):

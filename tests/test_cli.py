@@ -7,12 +7,16 @@ fixed caps behind exit 3.
 
 import contextlib
 import io
+import itertools
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from involab import cli
+from involab.action import MAX_SEARCH_STEPS
 from involab.cli import main
 from involab.cover import parse_phi
 from involab.errors import CapError, ValidationError
@@ -35,6 +39,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv); help ends in SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+HELP = ("SystemExit", 0)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["-h"], HELP),
+    *[([command, "-h"], HELP) for command in ("rzk", "free-rank", "f", "cover", "figure")],
+    (["free-rank", "--h"], HELP),  # an abbreviation of --help
+    ([], 2),  # no command
+    (["nosuch"], 2),
+    (["--m=6"], 2),  # an option before any command
+    (["free-rank", "--m", "6", "--bogus"], 2),
+    (["rzk", "--m", "4", "extra"], 2),
+    (["free-rank", "--m", "6", "--", "x"], 2),
+    (["f"], 2),  # a missing --g
+    (["f", "--g", "-1"], 2),
+    (["cover", "--orientable", "maybe", "--genus", "2", "--phi", "phi.txt"], 2),
+    (["free-rank", "--m=6"], 0),
+    (["free-rank", "--m", "6", "--wit"], 0),  # an abbreviation of --witness
+])
+def test_a_command_parses_as_through_the_top_level_parser(argv, code, capsys, monkeypatch):
+    got = outcome(capsys, argv)
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))  # no command is known
+    assert outcome(capsys, argv) == got
+    assert got[0] == code
 
 
 def test_rzk_json(capsys):
@@ -195,6 +236,24 @@ def test_free_rank_from_file(capsys, tmp_path):
     path = tmp_path / "full.txt"
     path.write_text("3\n1 2 3\n")
     assert run(capsys, "free-rank", "--complex", str(path)) == (0, "0\n", "")
+
+
+def _all_triangles_file(tmp_path, m):
+    path = tmp_path / f"triangles{m}.txt"
+    path.write_text(f"{m}\n" + "".join(f"{a} {b} {c}\n"
+                                       for a, b, c in itertools.combinations(range(1, m + 1), 3)))
+    return str(path)
+
+
+def test_free_rank_search_budget_exits_3(capsys, tmp_path):
+    # 16 points of GF(2)^5 have no three dependent, 17 do not; only an
+    # exhausted search rules r = 5 out, and on 17 vertices that ran past 30 s
+    assert run(capsys, "free-rank", "--complex", _all_triangles_file(tmp_path, 16)) == (0, "11\n", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "free-rank", "--complex", _all_triangles_file(tmp_path, 17))
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == f"error: the colouring search passed its budget of {MAX_SEARCH_STEPS} steps\n"
 
 
 def test_f_bounds_output(capsys):

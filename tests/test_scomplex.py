@@ -87,6 +87,33 @@ def test_empty_complex_has_empty_face():
     assert K.dim == -1
 
 
+@pytest.mark.parametrize("m,faces,message", [
+    (3, frozenset({0, -1}), "exceeds ambient"),  # a negative mask
+    (3, frozenset({0, 1, -8}), "exceeds ambient"),
+    (3, frozenset({0, 0b1000}), "exceeds ambient"),  # the mask 2^m
+    (3, frozenset({0, 1, 1 << 40}), "exceeds ambient"),
+    (0, frozenset({0, 1}), "exceeds ambient"),
+    (3, frozenset({1, 2}), "empty face"),
+    (3, frozenset(), "empty face"),
+    (-1, frozenset({0}), "nonnegative"),
+])
+def test_constructor_refuses_masks_out_of_range_and_a_missing_empty_face(m, faces, message):
+    with pytest.raises(ValidationError, match=message):
+        SimplicialComplex(m, faces)
+
+
+def test_constructor_takes_the_masks_up_to_the_whole_vertex_set():
+    K = SimplicialComplex(3, frozenset({0, 1, 2, 3, 7}))
+    assert K.dim == 2 and max(K.faces) == (1 << K.m) - 1
+
+
+def test_vertices_of_walks_the_set_bits():
+    assert vertices_of(0) == ()
+    assert vertices_of(1 << 700 | 1 << 5 | 1) == (1, 6, 701)
+    with pytest.raises(ValueError):
+        vertices_of(-1)
+
+
 def test_facets():
     K = polygon_boundary(4)
     # increasing mask order: {1,2} < {2,3} < {1,4} < {3,4}
@@ -116,6 +143,11 @@ def test_parse_complex_basic():
 def test_parse_complex_m_only():
     K = parse_complex("4\n")
     assert K.m == 4 and K.faces == frozenset({0})
+
+
+def test_parse_complex_splits_on_any_whitespace_up_to_a_comment():
+    text = "\t4 #m\n1\t2#an edge\n 2   3 \r\n#4 1\n3 4 # 1\n"
+    assert parse_complex(text) == from_facets(4, [[1, 2], [2, 3], [3, 4]])
 
 
 @pytest.mark.parametrize(
