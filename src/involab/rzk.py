@@ -16,7 +16,8 @@ There are 2^(m-|I|) cells with free set I, so every count is a closed
 form in K's faces. The sign flips act by cell maps, transitively on the
 cells of each face, so the closed-surface and orientation checks run on
 K itself and list no cell; a closed surface here is always the one over
-the m-gon, and ``genus`` checks its answer against ``polygon_genus``. A
+the m-gon, one walk round K's cycle checks the links and orients it, and
+``genus`` checks its answer against ``polygon_genus``. A
 square with free coordinates i < j is oriented by the ordered frame
 (x_i, x_j); only the consistency of induced boundary directions is ever
 asserted, so the convention itself is not load-bearing.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from . import glue
 from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from .scomplex import SimplicialComplex
 
@@ -149,33 +149,26 @@ class SurfaceReport(NamedTuple):
         )
 
 
-def _link_is_single_cycle(nodes: list[int], arcs: list[int]) -> bool:
-    """Whether the arcs, each a two-bit mask, form one cycle through all
-    the nodes, each a single bit; O(nodes + arcs)."""
+def _cycle_walk(nodes: list[int], arcs: list[int]) -> list[int] | None:
+    """The arcs, each a two-bit mask, in the order of one walk round them
+    from arcs[0]'s lower node, or None unless they form one cycle through
+    all the nodes, each a single bit; O(nodes + arcs)."""
     if not nodes or len(arcs) != len(nodes):  # a cycle has as many arcs as nodes
-        return False
+        return None
     ends: dict[int, list[int]] = {b: [] for b in nodes}
     for arc in arcs:
         for b in (arc & -arc, arc & (arc - 1)):
             ends.setdefault(b, []).append(arc ^ b)
     if len(ends) > len(nodes) or any(len(e) != 2 for e in ends.values()):
-        return False
-    # every node has degree 2, so the arcs form disjoint cycles: walk the one at nodes[0]
-    prev, here, length = nodes[0], ends[nodes[0]][0], 1
-    while here != nodes[0]:
+        return None
+    # every node has degree 2, so the arcs form disjoint cycles: walk the one through arcs[0]
+    start = arcs[0] & -arcs[0]
+    walk, prev, here = [arcs[0]], start, arcs[0] ^ start
+    while here != start:
         a, b = ends[here]
-        prev, here, length = here, b if a == prev else a, length + 1
-    return length == len(nodes)
-
-
-def _edge_words(C: CubicalSurface) -> tuple[list[glue.Word], list[list[tuple[int, int]]]]:
-    """K's edges as words over its vertices, and the uses of every vertex id.
-
-    Edge {i < j} is ``((j, 1), (i, -1))``: the directions that square
-    Cell({i, j}, 0) induces on edges Cell(j, 0) and Cell(i, 0).
-    """
-    words = [((e.bit_length() - 1, 1), ((e & -e).bit_length() - 1, -1)) for e in C.faces(2)]
-    return words, glue.edge_uses(words, C.m)
+        prev, here = here, b if a == prev else a
+        walk.append(prev | here)
+    return walk if len(walk) == len(nodes) else None
 
 
 def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
@@ -198,7 +191,7 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
 
     # The link at vertex 0 stands for all: a node per edge Cell(v, 0), named
     # by its free bit, and an arc per square Cell(e, 0); that is K's 1-skeleton.
-    links_ok = _link_is_single_cycle(C.faces(1), C.faces(2))
+    links_ok = _cycle_walk(C.faces(1), C.faces(2)) is not None
 
     # an edge joins the vertices whose signs differ in its free bit, so the
     # components are the cosets of the span of K's vertices; those are
@@ -212,10 +205,14 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[int, int] | None]:
 
     Returns (True, sigma), sigma mapping each 2-face I of K to the sign of
     Cell(I, 0); square Cell(I, s) then has sign (-1)^popcount(s) sigma[I].
-    Returns (False, None) if no such signs exist. Requires a closed surface.
+    Requires a closed surface, so K is one cycle and the walk round it
+    always orients it: (False, None) is never returned.
 
-    sigma is found by ``glue.orient`` on K's m edge words, which checks
-    the edges Cell(b, 0). That covers every edge: the two squares at
+    Square Cell({i < j}, 0) induces +1 on edge Cell(j, 0) and -1 on
+    Cell(i, 0). sigma[e] is +1 where the walk climbs along e and -1 where
+    it descends, so each e induces +1 on the vertex the walk enters and -1
+    on the one it leaves: opposite directions at every Cell(b, 0), and +1
+    on the first 2-face. That covers every edge: the two squares at
     Cell(b, t) are the flips by t of the two at Cell(b, 0), and the flip
     multiplies each square's sign (by the formula) and the direction it
     induces on the edge alike, by (-1)^popcount(t).
@@ -223,10 +220,12 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[int, int] | None]:
     report = verify_closed_surface(C)
     if not report.closed_surface:
         raise NotASurfaceError(f"orientability needs a closed surface, got {report}")
-    signs = glue.orient(*_edge_words(C))
-    if signs is None:
-        return False, None
-    return True, dict(zip(C.faces(2), signs))
+    walk = _cycle_walk(C.faces(1), C.faces(2))
+    sigma, here = {}, walk[0] & -walk[0]
+    for e in walk:
+        sigma[e] = 1 if here == e & -e else -1
+        here ^= e  # e's other vertex
+    return True, sigma
 
 
 def genus(C: CubicalSurface) -> tuple[bool, int]:

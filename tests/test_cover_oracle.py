@@ -3,13 +3,19 @@
 ``oracle_boundaries`` is the per-sheet gluing that ``cover.build_cover``
 did before it classified the cover from sheet 0's walk alone: one polygon
 word per sheet, read off the base word while accumulating phi-images, with
-edge (i, q) numbered i * 2^n + q. ``oracle_cover`` runs ``glue.edge_uses``
-and ``glue.orient`` on those words, counts components both from the
+edge (i, q) numbered i * 2^n + q. ``oracle_cover`` runs ``edge_uses``
+and ``orient`` on those words, counts components both from the
 vertices (a GF(2) rank of phi's columns) and from the faces (a union of
 faces that share an edge id), and raises the same CrossCheckError messages
 as the package. Every report field, and every raised message, is compared
 with ``build_cover`` exhaustively for n <= 3 over five bases, and on random
 matrices and random (often malformed) words.
+
+``edge_uses`` and ``orient`` are the general polygon gluing: how often
+each edge id is traversed, and a breadth-first sign propagation that
+orients the faces so that every edge is crossed once each way. They were
+the package's ``glue`` module until ``rzk`` read its orientation off the
+walk round K's cycle; ``test_rzk_oracle.py`` runs them on K's edge words.
 
 ``prop2_tower`` gives the epimorphisms whose covers ``test_cover.py`` and
 ``test_acceptance.py`` compare with the polygon surfaces.
@@ -21,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involab import gf2, glue
+from involab import gf2
 from involab.cover import (
     SurfacePresentation,
     build_cover,
@@ -46,6 +52,45 @@ def columns(B, rows):
             if (row >> i) & 1:
                 cols[i] |= 1 << r
     return cols
+
+
+def edge_uses(faces, edge_count):
+    """For each edge id, its (face index, direction) traversals in face order;
+    a face is a word of (edge id, direction) traversals, direction +1 or -1."""
+    uses = [[] for _ in range(edge_count)]
+    for f, word in enumerate(faces):
+        for eid, s in word:
+            uses[eid].append((f, s))
+    return uses
+
+
+def orient(faces, uses):
+    """Face signs in {+1, -1} under which every edge is traversed once in
+    each direction, or None if no such signs exist.
+
+    ``uses`` is ``edge_uses(faces, ...)`` and must list exactly two
+    traversals for every edge the faces cross. The first face of each
+    component gets +1; the rest of the component is forced from it.
+    """
+    signs = [0] * len(faces)
+    for f0 in range(len(faces)):
+        if signs[f0]:
+            continue
+        signs[f0] = 1
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for eid, _ in faces[f]:
+                (c1, s1), (c2, s2) = uses[eid]
+                # opposite directions once signs apply: sign(c1)*s1 = -sign(c2)*s2
+                other = c2 if c1 == f else c1
+                required = -signs[f] * s1 * s2
+                if not signs[other]:
+                    signs[other] = required
+                    stack.append(other)
+                elif signs[other] != required:
+                    return None
+    return signs
 
 
 def oracle_boundaries(B, phi):
@@ -103,7 +148,7 @@ def oracle_cover(B, phi):
     sheets = 1 << n
     edge_count = B.generator_count * sheets
     boundaries = oracle_boundaries(B, rows)
-    uses = glue.edge_uses(boundaries, edge_count)
+    uses = edge_uses(boundaries, edge_count)
     for eid, u in enumerate(uses):
         if len(u) != 2:
             raise CrossCheckError(f"edge {eid} traversed {len(u)} times; expected exactly 2")
@@ -113,7 +158,7 @@ def oracle_cover(B, phi):
         raise CrossCheckError(
             f"component mismatch: vertices give {components}, faces give {by_faces}"
         )
-    orientable = glue.orient(boundaries, uses) is not None
+    orientable = orient(boundaries, uses) is not None
     algebraic = orientable_by_character(B, rows)
     if algebraic != orientable:
         raise CrossCheckError(

@@ -57,9 +57,9 @@ def test_import_loads_no_genus_arithmetic():
 
 
 @pytest.mark.parametrize("argv, modules", [
-    pytest.param(["rzk", "--m", "6"], ["scomplex", "rzk", "glue"], id="rzk"),
+    pytest.param(["rzk", "--m", "6"], ["scomplex", "rzk"], id="rzk"),
     pytest.param(["free-rank", "--m", "6", "--witness"],
-                 ["scomplex", "rzk", "glue", "action", "gf2"], id="free-rank"),
+                 ["scomplex", "rzk", "action", "gf2"], id="free-rank"),
     pytest.param(["cover", "--orientable", "true", "--genus", "2", "--phi", "phi.txt"],
                  ["cover", "gf2"], id="cover"),
     pytest.param(["f", "--g", "5", "--exact"], ["fgenus", "cover", "gf2"], id="f"),

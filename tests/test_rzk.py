@@ -9,7 +9,7 @@ from collections import Counter, deque
 
 import pytest
 
-from involab import glue, rzk
+from involab import rzk
 from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import (
     Cell,
@@ -211,8 +211,7 @@ def test_orientability_rejects_non_surface():
 def test_genus_checks_the_answer_against_the_polygon(monkeypatch):
     # a closed surface here is the one over the m-gon: orientable, polygon_genus(m)
     C = build(polygon_boundary(6))
-    monkeypatch.setattr(glue, "orient", lambda faces, uses: None)
-    assert orientability(C) == (False, None)
+    monkeypatch.setattr(rzk, "orientability", lambda C: (False, None))
     with pytest.raises(CrossCheckError, match="the m-gon gives"):
         genus(C)
 
@@ -252,22 +251,14 @@ def test_closed_report_enumerates_no_cell_and_glues_m_words(monkeypatch):
     def refuse(self, d):
         raise AssertionError(f"cells({d}) enumerated")
 
-    word_counts = []
-    edge_uses = glue.edge_uses
-
-    def counting(words, edge_count):
-        word_counts.append(len(words))
-        return edge_uses(words, edge_count)
-
     monkeypatch.setattr(CubicalSurface, "cells", refuse)
-    monkeypatch.setattr(glue, "edge_uses", counting)
     m = 20  # 2^20 vertices and 5 * 2^20 squares, none listed
     C = build(polygon_boundary(m))
-    assert word_counts == []  # build alone does no gluing work
     rep = surface_report(C)
     assert rep["closed_surface"] is True and rep["orientable"] is True
     assert rep["genus"] == polygon_genus(m)
-    assert word_counts and set(word_counts) == {m}  # one word per edge of K
+    orientable, sigma = orientability(C)
+    assert orientable and sorted(sigma) == C.faces(2)  # one sign per edge of K
 
 
 def test_surface_report_enumerates_no_cell(monkeypatch):

@@ -7,12 +7,16 @@ breadth-first searches over every square. They are kept here, apart from
 the package, so that every report flag, every orientability verdict and
 the per-square signs that ``square_signs`` expands from ``rzk``'s
 per-face sigma are compared with them on seeded random complexes.
-``oracle_link_is_single_cycle`` is the repeated arc sweep that
-``rzk._link_is_single_cycle`` ran before it walked the cycle, and
-``oracle_word_flags`` is ``verify_closed_surface`` as it was before the
-edge check read K's vertex degrees: it wrote every edge word and counted
-the uses of each vertex id with ``glue.edge_uses``. It lists no cell, so
-it is compared on complexes too large for the Cell-keyed oracle.
+``oracle_link_is_single_cycle`` is the repeated arc sweep that the link
+check ran before it walked the cycle; ``rzk._cycle_walk`` is compared with
+it, and its walks are checked to be walks. ``oracle_edge_words`` writes
+K's edges as two-letter words over its vertices, and ``oracle_word_flags``
+is ``verify_closed_surface`` as it was before the edge check read K's
+vertex degrees: it counted the uses of each vertex id in those words.
+``orientability``'s sigma is compared with ``orient`` on the same words,
+the sign propagation that oriented K before sigma was read off the walk.
+The word oracles list no cell, so they are compared on complexes too
+large for the Cell-keyed oracle.
 
 ``boundary`` and ``_edge_direction`` are the per-cell geometry of the
 squares; the closed-form cell counts are compared with the enumerated
@@ -24,10 +28,11 @@ from collections import deque
 
 import pytest
 
-from involab import glue
 from involab.errors import NotASurfaceError, ValidationError
-from involab.rzk import Cell, _link_is_single_cycle, build, orientability, verify_closed_surface
+from involab.rzk import Cell, _cycle_walk, build, orientability, verify_closed_surface
 from involab.scomplex import SimplicialComplex, from_facets
+
+from test_cover_oracle import edge_uses, orient
 
 
 def _subsets_ascending(mask):
@@ -309,9 +314,23 @@ def test_link_walk_agrees_with_the_arc_sweep(kind):
     for _ in range(300):
         nodes, arcs = _random_link(kind, rng)
         want = oracle_link_is_single_cycle(nodes, arcs)
-        assert _link_is_single_cycle(nodes, arcs) == want, (nodes, arcs)
-        assert want == (kind == "cycle"), (nodes, arcs)
-    assert not _link_is_single_cycle([], []) and not oracle_link_is_single_cycle([], [])
+        walk = _cycle_walk(nodes, arcs)
+        assert (walk is not None) == want == (kind == "cycle"), (nodes, arcs)
+        if walk is not None:
+            # a permutation of the arcs from arcs[0], each sharing one node with the next
+            assert sorted(walk) == sorted(arcs) and walk[0] == arcs[0], (nodes, arcs)
+            assert all((a & b).bit_count() == 1 for a, b in zip(walk, walk[1:] + walk[:1]))
+    assert _cycle_walk([], []) is None and not oracle_link_is_single_cycle([], [])
+
+
+def oracle_edge_words(C):
+    """K's edges as words over its vertex ids, and the uses of every id.
+
+    Edge {i < j} is ``((j, 1), (i, -1))``: the directions that square
+    Cell({i, j}, 0) induces on edges Cell(j, 0) and Cell(i, 0).
+    """
+    words = [((e.bit_length() - 1, 1), ((e & -e).bit_length() - 1, -1)) for e in C.faces(2)]
+    return words, edge_uses(words, C.m)
 
 
 def oracle_word_flags(C):
@@ -319,10 +338,10 @@ def oracle_word_flags(C):
     K's edge words; ValidationError above dimension 2."""
     if C.dim > 2:
         raise ValidationError(f"closed-surface checks support dimension <= 2, got {C.dim}")
-    words = [((e.bit_length() - 1, 1), ((e & -e).bit_length() - 1, -1)) for e in C.faces(2)]
-    uses = glue.edge_uses(words, C.m)
+    _, uses = oracle_edge_words(C)
     edges_ok = sum(len(u) == 2 for u in uses) == len(C.faces(1))
-    return edges_ok, _link_is_single_cycle(C.faces(1), C.faces(2)), len(C.faces(1)) == C.m
+    links_ok = oracle_link_is_single_cycle(C.faces(1), C.faces(2))
+    return edges_ok, links_ok, len(C.faces(1)) == C.m
 
 
 def _outcome(check, C):
@@ -364,6 +383,18 @@ def test_degree_count_agrees_with_the_edge_words(kind):
         "triangle": {(ValidationError, "closed-surface checks support dimension <= 2, got 3")},
     }
     assert reached[kind] <= seen, seen
+
+
+def test_walk_signs_agree_with_the_edge_word_orientation():
+    """sigma against the sign propagation on K's edge words, m up to 60."""
+    rng = random.Random("walk-signs")
+    for _ in range(150):
+        m, facets = _large_complex("polygon", rng)
+        C = build(from_facets(m, facets))
+        signs = orient(*oracle_edge_words(C))
+        assert signs is not None, (m, facets)
+        assert orientability(C) == (True, dict(zip(C.faces(2), signs))), (m, facets)
+
 
 def test_complete_graph_flags_match_the_edge_words():
     m = 40
