@@ -24,7 +24,9 @@ dimension of a linear colouring: a map from K's vertices to GF(2)^r
 keeping every face independent, whose kernel acts freely (the quotient
 by a free subgroup is one). A colouring search gives r and a colouring
 λ, and the witness is ker λ, of rank m - r; its freeness is checked
-against the faces, so the rank is certified from both sides.
+against the faces, so the rank is certified from both sides. No m is
+refused: MAX_SEARCH_STEPS bounds the search's time, and the vertex and
+face caps of ``scomplex`` its memory.
 """
 
 from __future__ import annotations
@@ -32,18 +34,17 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from . import gf2
-from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
+from .errors import CapError, CrossCheckError, ValidationError
 from .rzk import CubicalSurface, orientability
 from .scomplex import SimplicialComplex, mask_of, vertices_of
 
-MAX_SEARCH_M = 24  # the colouring search is exponential in m; refuse bigger m
-# The colouring search's budget. A step is one assign call or one span element
-# of the values it must avoid, 130-330 ns on every family measured, while a
-# call took from 5 us (sparse complexes) to 1 ms (all 5-sets of 16 vertices).
-# Steps taken: K_24 577 (25 calls), every triangle on 16 vertices 2,259 (17),
+# The colouring search's budget. A step is one visit to a position or one span
+# element of the values it must avoid, 130-330 ns on every family measured, while a
+# visit took from 5 us (sparse complexes) to 1 ms (all 5-sets of 16 vertices).
+# Steps taken: K_24 577 (25 visits), every triangle on 16 vertices 2,259 (17),
 # the m = 24, 60-triangle complex of test_complete_graphs_stop_at_the_colouring_bound
 # 98,538 (5,274), 180 random 2-complexes at m = 20-24 with 40-120 triangles at
-# most 293,346 (17,026 calls, 0.1 s). All triangles on 17 vertices (a full search
+# most 293,346 (17,026 visits, 0.1 s). All triangles on 17 vertices (a full search
 # takes far over 30 s) and all 3-, 4- or 5-sets on up to 24 exit 3 after 1-1.7 s.
 MAX_SEARCH_STEPS = 6_000_000
 
@@ -133,9 +134,7 @@ def orientation_sign(C: CubicalSurface, g: int) -> int:
     sign differs by (-1)^|g & ~I| and the frame by (-1)^|g & I|, so the
     sign is (-1)^|g| on every square.
     """
-    orientable, _ = orientability(C)
-    if not orientable:
-        raise NotASurfaceError("orientation_sign needs an orientable surface")
+    orientability(C)  # raises NotASurfaceError unless C is a closed surface
     return -1 if g.bit_count() % 2 else 1
 
 
@@ -148,7 +147,9 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
     symmetry) outside the span of the rest of every largest face that it
     closes. r starts at dim K + 1 and at the bit length of a greedy
     clique, which needs distinct nonzero values; one unit vector per
-    vertex always works. Past MAX_SEARCH_STEPS steps it raises CapError.
+    vertex always works. The search loops over a stack of one frame per
+    assigned position, not a recursion, so no m is too deep for it. Past
+    MAX_SEARCH_STEPS steps it raises CapError.
     """
     faces, m = K.faces, K.m
     nbr = [0] * m
@@ -164,7 +165,7 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
         if clique & nbr[v] == clique:  # v meets the whole clique so far
             clique |= 1 << v
     closing: list[list[int]] = [[] for _ in order]  # by position: the others' positions
-    cost = [1] * (len(order) + 1)  # by position: an assign call and the span elements it builds
+    cost = [1] * (len(order) + 1)  # by position: a visit and the span elements it builds
     for f in faces:
         if f & (f - 1):
             rest, g = [], f
@@ -179,34 +180,40 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
             if not grow:
                 closing[last].append(rest)
                 cost[last] += 1 << len(rest)
-    value = [0] * len(order)  # by position
-    steps = 0
-
-    def assign(i: int, d: int, r: int) -> bool:
-        nonlocal steps
+    r = max(K.dim + 1, clique.bit_count().bit_length())
+    frames: list[list] = []  # by position: forbidden set, value, d (unit vectors before it)
+    steps = d = 0
+    while True:
+        i = len(frames)
         steps += cost[i]
         if steps > MAX_SEARCH_STEPS:
             raise CapError(f"the colouring search passed its budget of {MAX_SEARCH_STEPS} steps")
         if i == len(order):
-            return True
+            break
         forbidden = {0}
         for rest in closing[i]:
             span = [0]
             for u in rest:
-                span += [x ^ value[u] for x in span]
+                w = frames[u][1]
+                span += [x ^ w for x in span]
             forbidden.update(span)
-        for w in range(1, min((1 << d) + 1, 1 << r)):
-            if w not in forbidden:
-                value[i] = w
-                if assign(i + 1, d + (w >> d), r):
-                    return True
-        return False
-
-    r0 = max(K.dim + 1, clique.bit_count().bit_length())
-    r = next(r for r in range(r0, len(order) + 1) if assign(0, 0, r))
+        frames.append([forbidden, 0, d])
+        while frames:  # the deepest position takes its next value, or is dropped if none is left
+            frame = frames[-1]
+            forbidden, w, d = frame
+            w += 1
+            while w in forbidden:
+                w += 1
+            if w < min((1 << d) + 1, 1 << r):
+                frame[1] = w
+                d += w >> d
+                break
+            frames.pop()
+        else:  # no colouring into GF(2)^r: search r + 1 from the first position, whose d is 0
+            r += 1
     colouring = [0] * m
-    for v, w in zip(order, value):
-        colouring[v] = w
+    for v, frame in zip(order, frames):
+        colouring[v] = frame[1]
     return r, colouring
 
 
@@ -220,8 +227,6 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     larger kernel means λ is not onto, so r was not the least), and no
     face may lie in it (``cross_check_free``).
     """
-    if K.m > MAX_SEARCH_M:
-        raise CapError(f"m={K.m} exceeds the free-rank search cap {MAX_SEARCH_M}")
     m = K.m
     r, colouring = _colouring(K)
     rows = gf2.rref(w << m | 1 << v for v, w in enumerate(colouring))

@@ -301,20 +301,6 @@ def _exp_fixed(x: int) -> int:
     return s << n if n >= 0 else s >> -n
 
 
-def _equality_rank(g: int) -> int | None:
-    """The n with min_genus(n) == g, or None if g is no equality genus.
-
-    Counts n up from n0 = max(1, L - bitlen(L)), L = g.bit_length(): since
-    n0 - 2 < 2^bitlen(L), min_genus(n0) <= 2^(L-1) <= g, and the count takes
-    about log2(L) steps instead of L.
-    """
-    length = g.bit_length()
-    n = max(1, length - length.bit_length())
-    while (g_n := min_genus(n)) < g:
-        n += 1
-    return n if g_n == g else None
-
-
 def _envelope_fixed(g_fix: int, g) -> float:
     """W((g-1) ln2 / 2)/ln2 + 2 in fixed-point ints at scale 2^-_FIX, for
     g_fix = floor(g 2^_FIX) of a genus g below H_FIXED_POINT_BELOW.
@@ -352,7 +338,8 @@ def H(g) -> float:
     """The envelope W((g-1) ln2 / 2)/ln2 + 2, as a float.
 
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
-    and is returned exactly (big-integer detection, no floats involved).
+    and is returned exactly: they are the g that ``decompose`` gives
+    n = 2 - a (big-integer detection, no floats involved).
     Below H_FIXED_POINT_BELOW, W comes from one Halley step in 160-bit
     fixed point (``_envelope_fixed``). An int or float genus there is
     exact at 40 digits and goes to fixed point without mpmath; any other
@@ -363,8 +350,8 @@ def H(g) -> float:
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
     if isinstance(g, (int, float)):
-        if g == int(g) and (n := _equality_rank(int(g))) is not None:
-            return float(n)
+        if g == int(g) and (dec := decompose(int(g))).n == 2 - dec.a:
+            return float(dec.n)
         if g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
             num, den = g.as_integer_ratio()
             return _envelope_fixed((num << _FIX) // den, g)

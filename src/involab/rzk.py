@@ -16,8 +16,8 @@ There are 2^(m-|I|) cells with free set I, so every count is a closed
 form in K's faces. The sign flips act by cell maps, transitively on the
 cells of each face, so the closed-surface and orientation checks run on
 K itself and list no cell; a closed surface here is always the one over
-the m-gon, one walk round K's cycle checks the links and orients it, and
-``genus`` checks its answer against ``polygon_genus``. A
+the m-gon, so orientable, one walk round K's cycle checks the links and
+orients it, and ``genus`` checks its answer against ``polygon_genus``. A
 square with free coordinates i < j is oriented by the ordered frame
 (x_i, x_j); only the consistency of induced boundary directions is ever
 asserted, so the convention itself is not load-bearing.
@@ -200,13 +200,13 @@ def verify_closed_surface(C: CubicalSurface) -> SurfaceReport:
     return SurfaceReport(edges_ok, links_ok, connected)
 
 
-def orientability(C: CubicalSurface) -> tuple[bool, dict[int, int] | None]:
+def orientability(C: CubicalSurface) -> dict[int, int]:
     """Orient the squares so that every edge gets opposite directions.
 
-    Returns (True, sigma), sigma mapping each 2-face I of K to the sign of
-    Cell(I, 0); square Cell(I, s) then has sign (-1)^popcount(s) sigma[I].
-    Requires a closed surface, so K is one cycle and the walk round it
-    always orients it: (False, None) is never returned.
+    Returns sigma, mapping each 2-face I of K to the sign of Cell(I, 0);
+    square Cell(I, s) then has sign (-1)^popcount(s) sigma[I]. Raises
+    NotASurfaceError unless C is a closed surface; then K is one cycle,
+    and the walk round it always orients it.
 
     Square Cell({i < j}, 0) induces +1 on edge Cell(j, 0) and -1 on
     Cell(i, 0). sigma[e] is +1 where the walk climbs along e and -1 where
@@ -225,27 +225,24 @@ def orientability(C: CubicalSurface) -> tuple[bool, dict[int, int] | None]:
     for e in walk:
         sigma[e] = 1 if here == e & -e else -1
         here ^= e  # e's other vertex
-    return True, sigma
+    return sigma
 
 
 def genus(C: CubicalSurface) -> tuple[bool, int]:
-    """(orientable, genus) of a verified closed surface.
+    """(True, genus) of a closed surface, which ``orientability`` always orients.
 
-    chi = V - E + F from the closed-form cell counts; genus is (2 - chi)/2 in
-    the orientable case and 2 - chi otherwise. K is then the m-gon, so the
-    answer must also be (True, polygon_genus(m)).
+    chi = V - E + F from the closed-form cell counts, and the genus is
+    (2 - chi)/2. K is then the m-gon, so the genus must also be
+    polygon_genus(m).
     """
-    orientable, _ = orientability(C)  # raises NotASurfaceError if not closed
+    orientability(C)  # raises NotASurfaceError if not closed
     chi = C.euler_characteristic
-    if orientable and chi % 2:
+    if chi % 2:
         raise CrossCheckError(f"orientable surface with odd chi={chi}")
-    g = (2 - chi) // 2 if orientable else 2 - chi
-    if (orientable, g) != (True, polygon_genus(C.m)):
-        raise CrossCheckError(
-            f"closed surface over m={C.m} classified as (orientable={orientable}, "
-            f"genus={g}); the m-gon gives (True, {polygon_genus(C.m)})"
-        )
-    return orientable, g
+    g = (2 - chi) // 2
+    if g != polygon_genus(C.m):
+        raise CrossCheckError(f"genus {g} over m={C.m}; the m-gon gives {polygon_genus(C.m)}")
+    return True, g
 
 
 def surface_report(C: CubicalSurface) -> dict:

@@ -124,7 +124,7 @@ def test_criterion_05_orientation_sign_is_the_support_parity():
     failures = []
     for m in range(3, 8):
         C = build(polygon_boundary(m))
-        orient = square_signs(C, orientability(C)[1])
+        orient = square_signs(C, orientability(C))
         for g in range(1 << m):
             expected = -1 if g.bit_count() % 2 else 1
             signs = {

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from involab import gf2
 from involab.action import (
+    MAX_SEARCH_STEPS,
     Subgroup,
     cross_check_free,
     is_free_subgroup,
@@ -166,9 +167,7 @@ def test_lemma_elements_fix_no_cell(m):
 @pytest.mark.parametrize("m", range(3, 8))
 def test_orientation_parity(m):
     C = build(polygon_boundary(m))
-    ok, sigma = orientability(C)
-    assert ok
-    orient = square_signs(C, sigma)
+    orient = square_signs(C, orientability(C))
     for g in range(1 << m):
         expected = -1 if g.bit_count() % 2 else 1
         assert orientation_sign(C, g) == expected
@@ -273,8 +272,14 @@ def test_complete_graphs_stop_at_the_colouring_bound():
 
 
 def test_max_free_rank_cap():
-    with pytest.raises(CapError):
-        max_free_rank(SimplicialComplex(25))
+    # no cap on m: the step budget bounds the search's time, the vertex and
+    # face caps its memory, and the search keeps its positions on a stack,
+    # not on the call stack, so the 1024-gon needs no recursion depth
+    assert max_free_rank(SimplicialComplex(25))[0] == 25
+    assert max_free_rank(polygon_boundary(1024))[0] == 1022
+    K = from_facets(25, itertools.combinations(range(1, 26), 3))
+    with pytest.raises(CapError, match=f"budget of {MAX_SEARCH_STEPS} steps"):
+        max_free_rank(K)
 
 
 def test_lemma_generators_rejects_small_m():

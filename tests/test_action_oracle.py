@@ -11,7 +11,10 @@ canonical echelon basis. The Hypothesis test below makes the same
 comparison on random complexes with ghost vertices, graphs are checked
 against the chromatic number (s_R = m - ceil(log2(chi + 1))), and a
 planted colouring, whether one dimension too small or equal on the two
-ends of an edge, must end in CrossCheckError.
+ends of an edge, must end in CrossCheckError. ``oracle_colouring`` is
+the colouring search as a recursive ``assign``: ``_colouring``'s loop
+must return the same (r, λ), charge the same steps, and so raise
+CapError on the same inputs under a small budget.
 
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
@@ -26,6 +29,7 @@ brute-force checks in ``test_action.py`` and ``test_acceptance.py``.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 from involab import action, gf2
 from involab.action import Subgroup, is_free_subgroup, max_free_rank
-from involab.errors import CrossCheckError
+from involab.errors import CapError, CrossCheckError
 from involab.rzk import Cell
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
@@ -134,6 +138,72 @@ def oracle_max_free_rank(K):
     return best_rank, best_basis
 
 
+def oracle_colouring(K):
+    """``action._colouring`` with its search written as a recursive ``assign``,
+    one call per position, as it was before the search kept its positions on
+    an explicit stack: (r, λ, the steps it took). It reads
+    ``action.MAX_SEARCH_STEPS`` when called."""
+    faces, m = K.faces, K.m
+    nbr = [0] * m
+    for f in faces:
+        if f.bit_count() == 2:
+            nbr[f.bit_length() - 1] |= f & -f
+            nbr[(f & -f).bit_length() - 1] |= f & (f - 1)
+    order = sorted((v for v in range(m) if 1 << v in faces), key=lambda v: -nbr[v].bit_count())
+    pos, before, clique = [0] * m, [0], 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        before.append(before[i] | 1 << v)
+        if clique & nbr[v] == clique:
+            clique |= 1 << v
+    closing = [[] for _ in order]
+    cost = [1] * (len(order) + 1)
+    for f in faces:
+        if f & (f - 1):
+            rest, g = [], f
+            while g:
+                rest.append(pos[(g & -g).bit_length() - 1])
+                g &= g - 1
+            rest.sort()
+            last = rest.pop()
+            grow = nbr[order[last]] & before[last] & ~f
+            while grow and f | grow & -grow not in faces:
+                grow &= grow - 1
+            if not grow:
+                closing[last].append(rest)
+                cost[last] += 1 << len(rest)
+    value = [0] * len(order)
+    steps = 0
+    budget = action.MAX_SEARCH_STEPS
+
+    def assign(i, d, r):
+        nonlocal steps
+        steps += cost[i]
+        if steps > budget:
+            raise CapError(f"the colouring search passed its budget of {budget} steps")
+        if i == len(order):
+            return True
+        forbidden = {0}
+        for rest in closing[i]:
+            span = [0]
+            for u in rest:
+                span += [x ^ value[u] for x in span]
+            forbidden.update(span)
+        for w in range(1, min((1 << d) + 1, 1 << r)):
+            if w not in forbidden:
+                value[i] = w
+                if assign(i + 1, d + (w >> d), r):
+                    return True
+        return False
+
+    r0 = max(K.dim + 1, clique.bit_count().bit_length())
+    r = next(r for r in range(r0, len(order) + 1) if assign(0, 0, r))
+    colouring = [0] * m
+    for v, w in zip(order, value):
+        colouring[v] = w
+    return r, colouring, steps
+
+
 def _cycle(vertices):
     return list(zip(vertices, vertices[1:] + vertices[:1]))
 
@@ -223,6 +293,43 @@ def test_search_stopped_by_the_colouring_agrees_with_the_exhaustive_search(K):
     assert rank == oracle_max_free_rank(K)[0] == witness.rank
     assert oracle_is_free_subgroup(K, witness)
     assert witness.generators == witness.basis == tuple(gf2.rref(witness.basis))
+
+
+def oracle_search(K):
+    return oracle_colouring(K)[:2]
+
+
+def colouring_outcome(colouring, K, budget):
+    """(r, λ) from ``colouring``, or the CapError message, with
+    MAX_SEARCH_STEPS at ``budget``."""
+    with mock.patch.object(action, "MAX_SEARCH_STEPS", budget):
+        try:
+            return colouring(K)
+        except CapError as exc:
+            return str(exc)
+
+
+def test_search_loop_agrees_with_the_recursive_search():
+    capped = {budget: set() for budget in (50, 500, action.MAX_SEARCH_STEPS)}
+    for kind in sorted(KINDS):
+        rng = random.Random(f"colouring-oracle-{kind}")
+        for _ in range(KINDS[kind]):
+            K = _random_complex(kind, rng)
+            for budget, verdicts in capped.items():
+                outcome = colouring_outcome(action._colouring, K, budget)
+                assert outcome == colouring_outcome(oracle_search, K, budget), (kind, K, budget)
+                verdicts.add(isinstance(outcome, str))
+            *colouring, steps = oracle_colouring(K)  # the loop charges exactly these steps
+            assert colouring_outcome(action._colouring, K, steps) == tuple(colouring), (kind, K)
+            assert isinstance(colouring_outcome(action._colouring, K, steps - 1), str), (kind, K)
+    assert capped == {50: {True, False}, 500: {True, False}, action.MAX_SEARCH_STEPS: {False}}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(complexes_with_ghosts(), st.sampled_from([50, 500, action.MAX_SEARCH_STEPS]))
+def test_search_loop_agrees_with_the_recursive_search_on_ghosts(K, budget):
+    assert colouring_outcome(action._colouring, K, budget) == colouring_outcome(
+        oracle_search, K, budget)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -454,7 +454,7 @@ def oracle_envelope_two_exponentials(g) -> float:
     step's exponential: g rounded to 136 bits by mpmath, and e^w from
     mpmath's exp_fixed both for the step and for the check."""
     if isinstance(g, int) or (isinstance(g, float) and g.is_integer()):
-        if (n := fgenus._equality_rank(int(g))) is not None:
+        if (n := _equality_rank_by_counting(int(g))) is not None:
             return float(n)
     _, man, exp, _ = libmp.mpf_pos(mpmath.mpf.mpf_convert_arg(g, 136, "n"), 136, "n")
     shift = exp + FIX
@@ -551,7 +551,8 @@ def test_equality_rank_matches_counting_up_from_one():
     genera = list(range(10**5 + 1))
     genera += [min_genus(n) + d for n in range(1, 201) for d in (-1, 0, 1) if min_genus(n) + d >= 0]
     for g in genera:
-        assert fgenus._equality_rank(g) == _equality_rank_by_counting(g), g
+        dec = decompose(g)
+        assert (dec.n if dec.n == 2 - dec.a else None) == _equality_rank_by_counting(g), g
 
 
 def _H_reference(g) -> float:
@@ -573,8 +574,10 @@ def test_H_is_the_correctly_rounded_envelope():
 
 
 def test_H_exact_integer_fast_path():
-    for n, g in equality_genera(10_000):
-        assert H(g) == float(n)
+    # up to about 10^47: past 2^52 only the exact test reaches these genera,
+    # and from about 10^27 the lambert_w route would raise
+    for n in range(1, 151):
+        assert H(min_genus(n)) == float(n), n
     assert H(float(17)) == 4.0
     assert H_by_lambert(17) == pytest.approx(4.0, abs=1e-12)
 

@@ -4,9 +4,10 @@
 implementations that ``rzk`` used before it checked the surface on K:
 edge -> squares and vertex -> edges / squares tables keyed by Cell, and
 breadth-first searches over every square. They are kept here, apart from
-the package, so that every report flag, every orientability verdict and
-the per-square signs that ``square_signs`` expands from ``rzk``'s
-per-face sigma are compared with them on seeded random complexes.
+the package, so that every report flag and the per-square signs that
+``square_signs`` expands from ``rzk``'s per-face sigma are compared with
+them on seeded random complexes, and the oracle must find every closed
+surface orientable, since ``orientability`` returns sigma and no verdict.
 ``oracle_link_is_single_cycle`` is the repeated arc sweep that the link
 check ran before it walked the cycle; ``rzk._cycle_walk`` is compared with
 it, and its walks are checked to be walks. ``oracle_edge_words`` writes
@@ -230,9 +231,8 @@ def test_glued_checks_agree_with_the_cell_oracle(kind):
         assert flags == oracle_verify(C), (m, facets)
         if rep.closed_surface:
             closed_seen += 1
-            orientable, sigma = orientability(C)
-            signs = square_signs(C, sigma) if orientable else None
-            assert (orientable, signs) == oracle_orientability(C), (m, facets)
+            signs = square_signs(C, orientability(C))
+            assert (True, signs) == oracle_orientability(C), (m, facets)
         else:
             with pytest.raises(NotASurfaceError):
                 orientability(C)
@@ -393,7 +393,7 @@ def test_walk_signs_agree_with_the_edge_word_orientation():
         C = build(from_facets(m, facets))
         signs = orient(*oracle_edge_words(C))
         assert signs is not None, (m, facets)
-        assert orientability(C) == (True, dict(zip(C.faces(2), signs))), (m, facets)
+        assert orientability(C) == dict(zip(C.faces(2), signs)), (m, facets)
 
 
 def test_complete_graph_flags_match_the_edge_words():

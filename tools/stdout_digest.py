@@ -142,9 +142,13 @@ def f_resolver_jobs(Job) -> list:
 def error_jobs(Job) -> list:
     """Bad inputs, each ending in a one-line error and exit code 2 or 3:
     unreadable and out-of-range complex files, both or neither source,
-    m = 2, the free-rank and figure caps, a too wide phi row, genus 0
-    and negative genera."""
+    m = 2, the free-rank step budget (every triangle on 17 vertices,
+    about 1.7 s), the figure cap, a too wide phi row, genus 0 and
+    negative genera."""
     Path("not-utf8.txt").write_bytes(b"3\n1 2\xff\n")
+    Path("triangles-17.txt").write_text(
+        "17\n" + "".join(f"{a} {b} {c}\n" for a, b, c in
+                         itertools.combinations(range(1, 18), 3)), encoding="utf-8")
     Path("out-of-range.txt").write_text("3\n1 4\n", encoding="utf-8")
     Path("wide-phi.txt").write_text("1 0 1\n", encoding="utf-8")
     argvs = [
@@ -155,7 +159,7 @@ def error_jobs(Job) -> list:
         ("rzk", "--complex", "out-of-range.txt"),
         ("rzk", "--m", "5", "--complex", "out-of-range.txt"),
         ("free-rank",),
-        ("free-rank", "--m", "25"),
+        ("free-rank", "--complex", "triangles-17.txt"),
         ("cover", "--orientable", "true", "--genus", "1", "--phi", "wide-phi.txt"),
         ("cover", "--orientable", "false", "--genus", "0", "--phi", "wide-phi.txt"),
         ("f", "--g", "-1"),
