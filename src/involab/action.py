@@ -225,7 +225,7 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     the rows with no bit at m or above are its canonical basis. Two
     checks raise CrossCheckError: the kernel's rank must be m - r (a
     larger kernel means λ is not onto, so r was not the least), and no
-    face may lie in it (``cross_check_free``).
+    face may lie in it.
     """
     m = K.m
     r, colouring = _colouring(K)
@@ -234,12 +234,7 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     witness = Subgroup(kernel, kernel)
     if witness.rank != m - r:
         raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")
-    cross_check_free(K, witness)
-    return m - r, witness
-
-
-def cross_check_free(K: SimplicialComplex, H: Subgroup) -> None:
-    """Raise CrossCheckError if a nonzero face of K lies in the span of H."""
-    f = _face_in_span(K, H)
+    f = _face_in_span(K, witness)
     if f:
         raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")
+    return m - r, witness

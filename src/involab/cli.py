@@ -92,22 +92,9 @@ def cmd_f(args: argparse.Namespace) -> int:
         raise ValidationError(f"--g must be nonnegative, got {args.g}")
     if not args.exact:
         fv = fgenus.f_bounds(args.g)
-        print(f"{fv.lower} {fv.upper}")
+        print(f"{fv.f_lower} {fv.f_upper}")
         return EXIT_OK
-    fv = fgenus.f_exact(args.g)
-    print(
-        json.dumps(
-            {
-                "g": fv.g,
-                "f_lower": fv.lower,
-                "f_upper": fv.upper,
-                "f_exact": fv.exact,
-                "resolved": fv.resolved,
-                "method": fv.method,
-                "certificate": fv.certificate,
-            }
-        )
-    )
+    print(json.dumps(fgenus.f_exact(args.g)._asdict()))
     return EXIT_OK
 
 
@@ -147,10 +134,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is bad input: exit 2, one stderr line
         raise ValidationError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 @functools.cache  # built on the first main() call, then shared by later calls

@@ -78,17 +78,6 @@ def presentation(orientable: bool, genus: int) -> SurfacePresentation:
     return SurfacePresentation(orientable, genus, tuple(word))
 
 
-def _validate_phi(B: SurfacePresentation, phi: Sequence[int]) -> tuple[int, ...]:
-    d = B.generator_count
-    rows = tuple(phi)
-    for r in rows:
-        if r < 0 or r >> d:
-            raise ValidationError(
-                f"phi row {r:#b} does not fit {d} generator columns"
-            )
-    return rows
-
-
 class CoverComplex(NamedTuple):
     """A classified regular cover: 2^n sheets over a one-polygon base.
 
@@ -99,7 +88,6 @@ class CoverComplex(NamedTuple):
     """
 
     base: SurfacePresentation
-    phi: tuple[int, ...]
     n: int
     sheets: int
     edge_count: int
@@ -119,25 +107,24 @@ class CoverComplex(NamedTuple):
         }
 
 
-def orientable_by_character(B: SurfacePresentation, phi: Sequence[int]) -> bool:
-    """Row-space test: the cover is orientable iff the orientation
-    character is a GF(2) combination of phi's rows."""
-    rows = _validate_phi(B, phi)
-    return gf2.in_span(B.orientation_character, rows)
-
-
 def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     """Classify the 2^n-sheeted cover determined by the GF(2) matrix phi.
 
-    Checks on sheet 0's walk, rather than assumes, that the relator lifts
-    to closed paths crossing every edge twice, and that both derivations
-    of components and of orientability agree (CrossCheckError otherwise).
+    Raises ValidationError unless every row of phi fits B's generator
+    columns. Checks on sheet 0's walk, rather than assumes, that the
+    relator lifts to closed paths crossing every edge twice, and that both
+    derivations of components and of orientability (sign propagation, and
+    the orientation character in phi's row space) agree (CrossCheckError
+    otherwise).
     """
-    rows = _validate_phi(B, phi)
+    d = B.generator_count
+    rows = tuple(phi)
+    for r in rows:
+        if r < 0 or r >> d:
+            raise ValidationError(f"phi row {r:#b} does not fit {d} generator columns")
     n = len(rows)
     if n > MAX_COVER_RANK:
         raise CapError(f"cover rank n={n} exceeds the sheet cap {MAX_COVER_RANK} (2^n sheets)")
-    d = B.generator_count
     sheets = 1 << n
     # column i of phi, as an n-bit deck element: the phi-image of a_i
     cols = [0] * d
@@ -179,7 +166,7 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     # signs exist iff no cycle of joins flips an odd number of times
     orientable = not gf2.in_span(1 << n, parities)
 
-    algebraic = orientable_by_character(B, rows)
+    algebraic = gf2.in_span(B.orientation_character, rows)
     if algebraic != orientable:
         raise CrossCheckError(
             f"orientability mismatch: character test says {algebraic}, "
@@ -198,7 +185,6 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
             genus = 2 - chi
     return CoverComplex(
         base=B,
-        phi=rows,
         n=n,
         sheets=sheets,
         edge_count=edge_count,

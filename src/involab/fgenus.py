@@ -77,19 +77,20 @@ def decompose(g: int) -> GenusDecomposition:
 class FValue(NamedTuple):
     """Bounds (and possibly the exact value) of f at one genus.
 
-    ``method`` records how an exact value was, or would be, obtained:
-    "formula" for the even-a case, "cover-resolver" for the odd one.
-    ``resolved`` is False when the resolver was needed but its budget was
-    exceeded; ``certificate`` carries the witness matrix and the built
-    cover's report for resolver successes.
+    Its fields are the keys of ``f --exact``'s JSON, in print order, so
+    ``_asdict()`` is that object. ``resolved`` is False when the resolver
+    was needed but its budget was exceeded. ``method`` records how an
+    exact value was, or would be, obtained: "formula" for the even-a
+    case, "cover-resolver" for the odd one. ``certificate`` carries the
+    witness matrix and the built cover's report for resolver successes.
     """
 
     g: int
-    lower: int
-    upper: int
-    exact: int | None
-    method: str
+    f_lower: int
+    f_upper: int
+    f_exact: int | None
     resolved: bool
+    method: str
     certificate: dict | None = None
 
 
@@ -97,8 +98,8 @@ def f_bounds(g: int) -> FValue:
     """The decomposition bounds alone: [n, n] for even a, [n-1, n] for odd."""
     dec = decompose(g)
     if dec.a_even:
-        return FValue(g, dec.n, dec.n, None, "formula", False)
-    return FValue(g, dec.n - 1, dec.n, None, "cover-resolver", False)
+        return FValue(g, dec.n, dec.n, None, False, "formula")
+    return FValue(g, dec.n - 1, dec.n, None, False, "cover-resolver")
 
 
 def f_exact(g: int) -> FValue:
@@ -115,11 +116,11 @@ def f_exact(g: int) -> FValue:
     """
     dec = decompose(g)
     if dec.a_even:
-        return FValue(g, dec.n, dec.n, dec.n, "formula", True)
+        return FValue(g, dec.n, dec.n, dec.n, True, "formula")
     n = dec.n
     h = 2 - dec.a
     if h > MAX_QUOTIENT_RANK:
-        return FValue(g, n - 1, n, None, "cover-resolver", False)
+        return FValue(g, n - 1, n, None, False, "cover-resolver")
     base = presentation(False, h)
     rows = [base.orientation_character] + [1 << i for i in range(n - 1)]
     cc = build_cover(base, rows)
@@ -131,7 +132,7 @@ def f_exact(g: int) -> FValue:
         "phi": [[(r >> i) & 1 for i in range(h)] for r in rows],
         "cover": cc.to_report(),
     }
-    return FValue(g, n - 1, n, n, "cover-resolver", True, certificate)
+    return FValue(g, n - 1, n, n, True, "cover-resolver", certificate)
 
 
 def min_genus(n: int) -> int:
@@ -377,15 +378,8 @@ class FigureRow(NamedTuple):
 
 
 def _figure_row(g: int) -> FigureRow:
-    fv = f_exact(g)
-    return FigureRow(
-        g=g,
-        f_lower=fv.lower,
-        f_upper=fv.upper,
-        f_exact=fv.exact,
-        H=H(g),
-        equality=min_genus(fv.upper) == g,
-    )
+    fv = f_exact(g)  # g, f_lower, f_upper, f_exact lead both tuples
+    return FigureRow(*fv[:4], H(g), min_genus(fv.f_upper) == g)
 
 
 def figure1_data(gmax: int) -> list[FigureRow]:

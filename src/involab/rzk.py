@@ -17,7 +17,8 @@ form in K's faces. The sign flips act by cell maps, transitively on the
 cells of each face, so the closed-surface and orientation checks run on
 K itself and list no cell; a closed surface here is always the one over
 the m-gon, so orientable, one walk round K's cycle checks the links and
-orients it, and ``genus`` checks its answer against ``polygon_genus``. A
+orients it, and ``genus`` returns the genus alone, checked against
+``polygon_genus``. A
 square with free coordinates i < j is oriented by the ordered frame
 (x_i, x_j); only the consistency of induced boundary directions is ever
 asserted, so the convention itself is not load-bearing.
@@ -104,10 +105,6 @@ class CubicalSurface:
     @property
     def square_count(self) -> int:
         return self._count(2)
-
-    @property
-    def euler_characteristic(self) -> int:
-        return euler_characteristic(self.K)
 
 
 def build(K: SimplicialComplex) -> CubicalSurface:
@@ -228,26 +225,26 @@ def orientability(C: CubicalSurface) -> dict[int, int]:
     return sigma
 
 
-def genus(C: CubicalSurface) -> tuple[bool, int]:
-    """(True, genus) of a closed surface, which ``orientability`` always orients.
+def genus(C: CubicalSurface) -> int:
+    """The genus of a closed surface, which ``orientability`` always orients.
 
     chi = V - E + F from the closed-form cell counts, and the genus is
     (2 - chi)/2. K is then the m-gon, so the genus must also be
     polygon_genus(m).
     """
     orientability(C)  # raises NotASurfaceError if not closed
-    chi = C.euler_characteristic
+    chi = euler_characteristic(C.K)
     if chi % 2:
         raise CrossCheckError(f"orientable surface with odd chi={chi}")
     g = (2 - chi) // 2
     if g != polygon_genus(C.m):
         raise CrossCheckError(f"genus {g} over m={C.m}; the m-gon gives {polygon_genus(C.m)}")
-    return True, g
+    return g
 
 
 def surface_report(C: CubicalSurface) -> dict:
     """Report dictionary with the fixed key set used by the command line."""
-    chi = C.euler_characteristic
+    chi = euler_characteristic(C.K)
     base = {
         "m": C.m,
         "V": C.vertex_count,
@@ -257,5 +254,4 @@ def surface_report(C: CubicalSurface) -> dict:
     }
     if C.dim > 2 or not verify_closed_surface(C).closed_surface:
         return {**base, "closed_surface": False, "orientable": None, "genus": None}
-    orientable, g = genus(C)
-    return {**base, "closed_surface": True, "orientable": orientable, "genus": g}
+    return {**base, "closed_surface": True, "orientable": True, "genus": genus(C)}

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CapError, ValidationError
 
-MAX_VERTICES = 1024  # parse_complex and polygon_boundary refuse m above this
+MAX_VERTICES = 1024  # every constructor refuses m above this, before it builds a mask
 MAX_FACES = 1 << 20  # the downward closure refuses facets with more faces in all
 
 
@@ -71,6 +71,8 @@ class SimplicialComplex(_Complex):
     def __new__(cls, m: int, faces: frozenset[int] = frozenset({0})) -> SimplicialComplex:
         if m < 0:
             raise ValidationError("m must be nonnegative")
+        if m > MAX_VERTICES:
+            raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
         for f in faces:  # faster than min() and max(); a negative f >> m is -1
             if f >> m:
                 raise ValidationError("face mask exceeds ambient vertex set")
@@ -86,6 +88,8 @@ class SimplicialComplex(_Complex):
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex generated by the given facets (downward closure is taken)."""
+    if m > MAX_VERTICES:
+        raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
     masks = [mask_of(f, m) for f in facets]
     return SimplicialComplex(m, _downward_closure(masks))
 

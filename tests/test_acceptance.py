@@ -15,13 +15,9 @@ import pytest
 from involab import gf2
 from involab.action import lemma_generators, max_free_rank, orientation_sign
 from involab.cli import main
-from involab.cover import (
-    build_cover,
-    orientable_by_character,
-    presentation,
-)
+from involab.cover import build_cover, presentation
 from involab.fgenus import H, decompose, lambert_w, min_genus
-from involab.rzk import build, genus, orientability, verify_closed_surface
+from involab.rzk import build, euler_characteristic, genus, orientability, verify_closed_surface
 from involab.scomplex import polygon_boundary, vertices_of
 
 from test_action_oracle import apply, span_elements, subspace_bases
@@ -41,11 +37,11 @@ def test_criterion_01_polygon_surfaces_have_the_predicted_genus():
     for m in range(3, 13):
         C = build(polygon_boundary(m))
         report = verify_closed_surface(C)
-        orientable, g = genus(C)
+        g = genus(C)  # orients the surface, or raises
         expected = 1 + 2 ** (m - 3) * (m - 4)
         if not (report.closed_surface and report.connected):
             failures.append(f"m={m}: not a connected closed surface")
-        if not orientable or g != expected:
+        if g != expected:
             failures.append(f"m={m}: genus {g}, expected {expected}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 10:
@@ -61,8 +57,8 @@ def test_criterion_02_cell_counts_are_exact():
         got = (C.vertex_count, C.edge_count, C.square_count)
         if got != expected:
             failures.append(f"m={m}: counts {got}, expected {expected}")
-        if C.euler_characteristic != 2 ** (m - 2) * (4 - m):
-            failures.append(f"m={m}: chi {C.euler_characteristic}")
+        if euler_characteristic(C.K) != 2 ** (m - 2) * (4 - m):
+            failures.append(f"m={m}: chi {euler_characteristic(C.K)}")
     verdict("vertex/edge/square counts and chi on m = 3..12", failures)
 
 
@@ -160,7 +156,7 @@ def test_criterion_06_cover_laws_hold_for_every_matrix():
                     failures.append(f"{B}: component count wrong at {rows}")
                 if cc.components != face_components(oracle_boundaries(B, rows)):
                     failures.append(f"{B}: components disagree with the glued faces at {rows}")
-                if cc.orientable != orientable_by_character(B, rows):
+                if cc.orientable != gf2.in_span(B.orientation_character, rows):
                     failures.append(f"{B}: orientability mismatch at {rows}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:
@@ -244,14 +240,14 @@ def test_criterion_10_polygon_surface_equals_tower_cover():
     failures = []
     for n in range(1, 9):
         C = build(polygon_boundary(n + 2))
-        surface = genus(C)  # (orientable, genus)
+        surface = (True, genus(C))  # orientable, with its genus
         B = presentation(n % 2 == 0, n // 2 if n % 2 == 0 else n)
         top_rank, rows = prop2_tower(B)[0]
         if top_rank != B.generator_count or top_rank != n:
             failures.append(f"n={n}: tower top has rank {top_rank}")
         cc = build_cover(B, rows)
-        if cc.chi != C.euler_characteristic:
-            failures.append(f"n={n}: chi {cc.chi} vs {C.euler_characteristic}")
+        if cc.chi != euler_characteristic(C.K):
+            failures.append(f"n={n}: chi {cc.chi} vs {euler_characteristic(C.K)}")
         if cc.components != 1:
             failures.append(f"n={n}: cover disconnected")
         if (cc.orientable, cc.genus) != surface:

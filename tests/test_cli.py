@@ -72,7 +72,7 @@ HELP = ("SystemExit", 0)
 ])
 def test_a_command_parses_as_through_the_top_level_parser(argv, code, capsys, monkeypatch):
     got = outcome(capsys, argv)
-    parser = cli.build_parser()
+    parser = cli._parsers()[0]
     monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))  # no command is known
     assert outcome(capsys, argv) == got
     assert got[0] == code

@@ -28,12 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involab import gf2
-from involab.cover import (
-    SurfacePresentation,
-    build_cover,
-    orientable_by_character,
-    presentation,
-)
+from involab.cover import SurfacePresentation, build_cover, presentation
 from involab.errors import CrossCheckError
 
 BASES = {
@@ -159,7 +154,7 @@ def oracle_cover(B, phi):
             f"component mismatch: vertices give {components}, faces give {by_faces}"
         )
     orientable = orient(boundaries, uses) is not None
-    algebraic = orientable_by_character(B, rows)
+    algebraic = gf2.in_span(B.orientation_character, rows)
     if algebraic != orientable:
         raise CrossCheckError(
             f"orientability mismatch: character test says {algebraic}, "

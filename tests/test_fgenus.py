@@ -99,15 +99,15 @@ def test_f_bounds_shape():
     for g in range(200):
         fv = f_bounds(g)
         dec = decompose(g)
-        assert fv.upper == dec.n
-        assert fv.upper - fv.lower == (0 if dec.a_even else 1)
-        assert fv.exact is None and not fv.resolved
+        assert fv.f_upper == dec.n
+        assert fv.f_upper - fv.f_lower == (0 if dec.a_even else 1)
+        assert fv.f_exact is None and not fv.resolved
 
 
 def test_f_exact_by_formula():
     for g, n in [(1, 2), (9, 3), (17, 4), (129, 6)]:
         fv = f_exact(g)
-        assert (fv.exact, fv.method, fv.resolved) == (n, "formula", True)
+        assert (fv.f_exact, fv.method, fv.resolved) == (n, "formula", True)
         assert fv.certificate is None
 
 
@@ -118,8 +118,8 @@ def test_f_exact_by_formula():
 def test_f_exact_by_resolver(g, value):
     fv = f_exact(g)
     assert fv.method == "cover-resolver"
-    assert fv.resolved and fv.exact == value
-    assert (fv.lower, fv.upper) == (value - 1, value)
+    assert fv.resolved and fv.f_exact == value
+    assert (fv.f_lower, fv.f_upper) == (value - 1, value)
 
 
 def test_resolver_certificate_for_genus_two():
@@ -170,7 +170,7 @@ def test_resolver_rows_are_the_greedy_completion():
         h = 2 - dec.a
         assert not dec.a_even and dec.n <= h <= fgenus.MAX_QUOTIENT_RANK
         fv = f_exact(g)
-        assert fv.resolved and fv.exact == dec.n
+        assert fv.resolved and fv.f_exact == dec.n
         rows = [sum(bit << i for i, bit in enumerate(row)) for row in fv.certificate["phi"]]
         greedy = greedy_completion((1 << h) - 1, h, dec.n)
         assert len(greedy) == dec.n and rows == greedy
@@ -187,8 +187,8 @@ def test_resolver_certifies_exactly_the_small_bases():
 def test_figure_rows_agree_with_the_decomposition():
     for row in figure1_data(600):
         fv, dec = f_exact(row.g), decompose(row.g)
-        assert (row.f_lower, row.f_upper) == (fv.lower, fv.upper)
-        assert row.f_exact == (fv.exact if fv.resolved else None)
+        assert (row.f_lower, row.f_upper) == (fv.f_lower, fv.f_upper)
+        assert row.f_exact == (fv.f_exact if fv.resolved else None)
         assert row.equality == (min_genus(dec.n) == row.g)
 
 
@@ -196,17 +196,17 @@ def test_resolver_budgets(monkeypatch):
     # genus 18 needs a nonorientable base of genus 19
     assert fgenus.MAX_QUOTIENT_RANK == 16
     assert f_exact(18).resolved is False
-    assert (f_exact(18).lower, f_exact(18).upper) == (0, 1)
+    assert (f_exact(18).f_lower, f_exact(18).f_upper) == (0, 1)
     monkeypatch.setattr(fgenus, "MAX_QUOTIENT_RANK", 19)
     fv = f_exact(18)
-    assert fv.resolved and fv.exact == 1
+    assert fv.resolved and fv.f_exact == 1
     assert fv.certificate["cover"]["genus"] == 18
 
     assert f_exact(5).resolved  # needs a base of genus 3
     monkeypatch.setattr(fgenus, "MAX_QUOTIENT_RANK", 2)
     squeezed = f_exact(5)
     assert not squeezed.resolved
-    assert (squeezed.lower, squeezed.upper) == (2, 3)
+    assert (squeezed.f_lower, squeezed.f_upper) == (2, 3)
     assert figure1_data(5)[5].f_exact is None  # the table reads the same budget
 
 
@@ -592,7 +592,7 @@ def test_H_is_monotone_and_dominates_f():
     values = [H(g) for g in range(120)]
     assert all(b > a for a, b in zip(values, values[1:]))
     for g in range(120):
-        assert f_bounds(g).upper <= H(g) + 1e-9
+        assert f_bounds(g).f_upper <= H(g) + 1e-9
 
 
 def test_H_rejects_negative():
@@ -664,6 +664,5 @@ def test_equality_genera_are_realized_by_polygon_surfaces():
         if n > 8:
             break
         K = polygon_boundary(n + 2)
-        orientable, built_genus = genus(build(K))
-        assert orientable and built_genus == g
+        assert genus(build(K)) == g
         assert max_free_rank(K)[0] == n

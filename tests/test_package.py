@@ -184,3 +184,8 @@ def test_fgenus_rows_keep_their_fields():
     assert repr(_figure_row(5)) == ("FigureRow(g=5, f_lower=2, f_upper=3, f_exact=3, H=3.0, "
                                     "equality=True)")
     assert _figure_row(5) == FigureRow(5, 2, 3, 3, 3.0, True)
+    # FValue is the f --exact JSON object: its fields are the keys, in print order
+    assert FValue._fields == ("g", "f_lower", "f_upper", "f_exact", "resolved", "method",
+                              "certificate")
+    assert f_exact(9)._asdict() == {"g": 9, "f_lower": 3, "f_upper": 3, "f_exact": 3,
+                                    "resolved": True, "method": "formula", "certificate": None}

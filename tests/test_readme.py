@@ -1,11 +1,14 @@
-"""The command-line examples in README.md print what the README says.
+"""The examples in README.md print what the README says.
 
 Every ``$ involab ...`` line in a ``sh`` block is run through main(argv)
 in a fresh directory, and its stdout is compared with the lines printed
 under it, up to the next ``$`` line or the end of the block. The
 ``phi.txt`` that the cover example creates with printf is written first.
+The Library ``python`` block runs statement by statement, and each
+``print(...)`` must print the comment at the end of its line.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +46,23 @@ def test_readme_example(command, expected, capsys, monkeypatch, tmp_path):
     (tmp_path / "phi.txt").write_text("1 1\n")  # $ printf '1 1\n' > phi.txt
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    """Each top-level statement of the ``python`` block runs in turn, and a
+    ``print(...)  # expected`` line must print exactly its comment."""
+    (source,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+        printed = capsys.readouterr().out
+        call = statement.value if isinstance(statement, ast.Expr) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print":
+            expected = lines[statement.end_lineno - 1].rpartition("#")[2].strip()
+            assert printed == expected + "\n", lines[statement.lineno - 1]
+            checked += 1
+        else:
+            assert printed == ""
+    assert checked == 4

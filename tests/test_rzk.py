@@ -73,7 +73,7 @@ def test_polygon_cell_counts(m, v, e, f):
 def test_euler_formula_matches_built_counts(m):
     K = polygon_boundary(m)
     C = build(K)
-    assert euler_characteristic(K) == C.euler_characteristic
+    assert euler_characteristic(K) == C.vertex_count - C.edge_count + C.square_count
     assert euler_characteristic(K) == 2 ** (m - 2) * (4 - m)
 
 
@@ -220,15 +220,13 @@ def test_genus_checks_the_answer_against_the_polygon(monkeypatch):
     "m,expected", [(3, 0), (4, 1), (5, 5), (6, 17), (7, 49), (8, 129)]
 )
 def test_genus_small(m, expected):
-    ori, g = genus(build(polygon_boundary(m)))
-    assert ori is True
-    assert g == expected
+    assert genus(build(polygon_boundary(m))) == expected
     assert polygon_genus(m) == expected
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_genus_matches_formula(m):
-    _, g = genus(build(polygon_boundary(m)))
+    g = genus(build(polygon_boundary(m)))
     assert g == polygon_genus(m)
     assert g == 1 + 2 ** (m - 3) * (m - 4)  # exact already at m = 3: genus 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from involab.action import max_free_rank
 from involab.errors import CapError, ValidationError
 from involab.scomplex import (
     MAX_FACES,
@@ -170,4 +171,13 @@ def test_sizes_that_drive_memory_are_capped_before_allocation():
     assert len(polygon_boundary(MAX_VERTICES).faces) == 2 * MAX_VERTICES + 1
     full = from_facets(20, [range(1, 21)])  # exactly at the face cap
     assert len(full.faces) == MAX_FACES
-    assert SimplicialComplex(10**12).faces == {0}
+    # the library constructors check the cap too: 10^12 ghost vertices would
+    # have had max_free_rank build 10^12-bit witness rows
+    with pytest.raises(CapError, match=f"m={10**12} exceeds the vertex cap {MAX_VERTICES}"):
+        SimplicialComplex(10**12)
+    with pytest.raises(CapError, match=f"m={10**12} exceeds the vertex cap {MAX_VERTICES}"):
+        from_facets(10**12, [[1]])
+    with pytest.raises(CapError, match="vertex cap"):
+        from_facets(MAX_VERTICES + 1, [[MAX_VERTICES + 1]])
+    assert SimplicialComplex(MAX_VERTICES).faces == {0}
+    assert max_free_rank(SimplicialComplex(MAX_VERTICES))[0] == MAX_VERTICES
