@@ -19,7 +19,8 @@ The deck group acts on the sheets by XOR, so ``build_cover`` reads every
 polygon off sheet 0's walk along the base word, in O(|word| + d·n).
 Components are counted from the vertices and from the faces, and
 orientability by the row-space test and by sign propagation solved over
-the deck group; a disagreement raises instead of returning anything.
+the deck group, all four as GF(2) rank or span tests that stop at an
+echelon form; a disagreement raises instead of returning anything.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     # column i of phi, as an n-bit deck element: the phi-image of a_i
     cols = [0] * d
     for r, row in enumerate(rows):
-        for i in range(d):
-            if (row >> i) & 1:
-                cols[i] |= 1 << r
+        while row:
+            i = row.bit_length() - 1
+            cols[i] |= 1 << r
+            row ^= 1 << i
 
     # sheet 0's walk: on sheet q, a letter (i, s) starting at a crosses edge (i, q ^ a)
     letters: list[list[tuple[int, int]]] = [[] for _ in range(d)]

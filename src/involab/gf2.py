@@ -2,11 +2,11 @@
 
 A vector is a Python int; bit b is coordinate b. Addition is XOR, so a
 subspace is closed under ^ and every basis computation reduces to integer
-bit fiddling. Canonical form used throughout: reduced row echelon, where
-the pivot of a row is its highest set bit, pivots are pairwise distinct,
-no row contains another row's pivot, and rows are sorted by pivot
-ascending. Every subspace has exactly one such basis, which is what makes
-witnesses deterministic.
+bit fiddling. A row's pivot is its highest set bit. ``rank`` and
+``in_span`` stop at an echelon form, with pairwise distinct pivots; only
+``rref`` goes on to the canonical form, reduced row echelon, where also no
+row contains another's pivot and rows are sorted by pivot ascending. Each
+subspace has exactly one such basis, which makes witnesses deterministic.
 """
 
 from __future__ import annotations
@@ -14,21 +14,10 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def pivot(v: int) -> int:
-    """Index of the highest set bit. Undefined (raises) for 0."""
-    if v <= 0:
-        raise ValueError("pivot of a nonpositive vector is undefined")
-    return v.bit_length() - 1
-
-
-def rref(vectors: Iterable[int]) -> list[int]:
-    """Canonical RREF basis of the span of ``vectors``.
-
-    Returns rows sorted by pivot ascending; the zero vector contributes
-    nothing. Independent of input order and multiplicity.
-    """
-    # forward: each vector loses its highest bit while another row has it
-    # as pivot, and is kept under the first pivot that no row has
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the span, keyed by pivot; rows may hold lower pivots."""
+    # each vector loses its highest bit while another row has it as pivot,
+    # and is kept under the first pivot that no row has
     rows: dict[int, int] = {}
     for v in vectors:
         if v < 0:
@@ -40,8 +29,18 @@ def rref(vectors: Iterable[int]) -> list[int]:
                 rows[p] = v
                 break
             v ^= b
-    # back: clear the lower pivots from each row, in ascending pivot order;
-    # a reduced row holds no pivot but its own, so one pass per row suffices
+    return rows
+
+
+def rref(vectors: Iterable[int]) -> list[int]:
+    """Canonical RREF basis of the span of ``vectors``.
+
+    Returns rows sorted by pivot ascending; the zero vector contributes
+    nothing. Independent of input order and multiplicity.
+    """
+    rows = _echelon(vectors)
+    # clear the lower pivots from each row, in ascending pivot order; a
+    # reduced row holds no pivot but its own, so one pass per row suffices
     reduced: dict[int, int] = {}
     below = 0  # the pivots of the rows reduced so far
     for p in sorted(rows):
@@ -57,15 +56,20 @@ def rref(vectors: Iterable[int]) -> list[int]:
 
 
 def rank(vectors: Iterable[int]) -> int:
-    return len(rref(vectors))
+    return len(_echelon(vectors))
 
 
 def in_span(v: int, basis: Iterable[int]) -> bool:
     """Whether v lies in the span of the given vectors (any basis, any order)."""
-    for b in rref(basis):
-        if v and (v >> pivot(b)) & 1:
-            v ^= b
-    return v == 0
+    if v < 0:
+        raise ValueError("pivot of a nonpositive vector is undefined")
+    rows = _echelon(basis)
+    while v:
+        b = rows.get(v.bit_length() - 1)
+        if b is None:
+            return False
+        v ^= b
+    return True
 
 
 def span(basis: Iterable[int]) -> list[int]:
@@ -77,4 +81,3 @@ def span(basis: Iterable[int]) -> list[int]:
     for b in basis:
         out += [x ^ b for x in out]
     return out
-

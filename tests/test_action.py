@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involab import action, gf2
+from involab import action
 from involab.action import (
     MAX_SEARCH_STEPS,
     Subgroup,
@@ -29,6 +29,7 @@ from involab.rzk import Cell, build, orientability
 from involab.scomplex import SimplicialComplex, from_facets, mask_of, polygon_boundary, vertices_of
 
 from test_action_oracle import apply, span_elements, subspace_bases
+from test_gf2 import pivot
 from test_rzk_oracle import square_signs
 
 
@@ -107,12 +108,12 @@ def test_subgroup_rref_basis():
     assert [vertices_of(g) for g in H.generators] == [
         (1, 3), (3, 5), (2, 4), (4, 6),
     ]
-    pivots = [gf2.pivot(b) for b in H.basis]
+    pivots = [pivot(b) for b in H.basis]
     assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
     for i, b in enumerate(H.basis):
         for j, other in enumerate(H.basis):
             if i != j:
-                assert not (other >> gf2.pivot(b)) & 1
+                assert not (other >> pivot(b)) & 1
     assert len(set(span_elements(H))) == 16
 
 

@@ -40,6 +40,7 @@ from involab.action import Subgroup, is_free_subgroup, max_free_rank
 from involab.errors import CapError, CrossCheckError
 from involab.rzk import Cell
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
+from test_gf2 import pivot
 
 
 def apply(g, cell):
@@ -87,7 +88,7 @@ def oracle_is_free_subgroup(K, H):
 
 def oracle_face_in_span(K, H):
     """The first nonzero face of K that H's echelon basis reduces to 0, or 0."""
-    rows = [(b, gf2.pivot(b)) for b in H.basis]
+    rows = [(b, pivot(b)) for b in H.basis]
     for f in K.faces:
         rest = f
         for b, p in rows:
@@ -112,7 +113,7 @@ def oracle_max_free_rank(K):
         rank = len(chosen)
         pivot_mask = 0
         for v in chosen:
-            pivot_mask |= 1 << gf2.pivot(v)
+            pivot_mask |= 1 << pivot(v)
         for p in range(last_pivot + 1, m):
             if rank + 1 + (m - 1 - p) <= best_rank:
                 break

@@ -10,9 +10,11 @@ line per workload: its job count and the sha256 of every job's exit
 code, stdout and stderr, in job order. Running it on two trees with the
 same seed shows whether a change altered any output byte. Further
 lines do the same for ``rzk --m 3..20`` in both report formats, for
-eight fixed ``cover`` runs at n = 13..16 and for ``free-rank --witness
---json`` on the complete graphs K_12..K_15 and on eight complexes of
-three triangles plus m edges, drawn from the seed, at each m = 16..20,
+eight fixed ``cover`` runs at n = 13..16 and eight at n = 17..20 (up to
+``MAX_COVER_RANK``, so the largest eliminations are compared too), for
+``free-rank --witness --json`` on the complete graphs K_12..K_15 and on
+eight complexes of three triangles plus m edges, drawn from the seed, at
+each m = 16..20,
 sizes that the seeded workloads do not reach, for ``fgenus.H`` on the
 seed's untimed known-defect probes
 (genera 1e26 to 1e30, each giving a repr or the exception type and
@@ -49,10 +51,10 @@ import mpmath
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# (base orientable, base genus, phi rows as generator bitmasks), n = 13..16:
-# onto and not, and over nonorientable bases orientable (the all-ones
-# character in the row space) and not
-E = [1 << r for r in range(16)]
+# (base orientable, base genus, phi rows as generator bitmasks), n = 13..16
+# and 17..20: onto and not, and over nonorientable bases orientable (the
+# all-ones character in the row space) and not
+E = [1 << r for r in range(20)]
 LARGE_COVERS = [
     (True, 7, E[:13]),
     (False, 13, [(1 << 13) - 1] + E[1:13]),
@@ -62,6 +64,16 @@ LARGE_COVERS = [
     (False, 15, E[:14] + [E[0]]),
     (True, 9, E[:16]),
     (False, 18, E[:16]),
+]
+LARGEST_COVERS = [
+    (True, 9, E[:17]),
+    (False, 17, [(1 << 17) - 1] + E[1:17]),
+    (False, 19, E[:18]),
+    (True, 10, E[:17] + [E[0] ^ E[1]]),
+    (False, 20, [(1 << 20) - 1] + E[1:18] + [((1 << 20) - 1) ^ E[1]]),
+    (False, 19, E[:18] + [E[0]]),
+    (True, 10, E[:20]),
+    (False, 22, E[:20]),
 ]
 
 
@@ -89,11 +101,11 @@ def run_job(job, cli, fgenus) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def large_cover_jobs(Job) -> list:
+def large_cover_jobs(Job, covers, prefix: str) -> list:
     jobs = []
-    for k, (orientable, genus, rows) in enumerate(LARGE_COVERS):
+    for k, (orientable, genus, rows) in enumerate(covers):
         d = 2 * genus if orientable else genus
-        path = Path(f"large-cover-{k}.txt")
+        path = Path(f"{prefix}-{k}.txt")
         path.write_text("".join(" ".join(str((r >> i) & 1) for i in range(d)) + "\n"
                                 for r in rows), encoding="utf-8")
         jobs.append(Job("large-cover", ("cover", "--orientable", str(orientable).lower(),
@@ -191,7 +203,10 @@ def main() -> int:
         polygons = [workloads.Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
                     for m in range(3, 21) for fmt in ("json", "text")]
         print(digest_line("rzk-m3-20", polygons, cli, fgenus))
-        print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job), cli, fgenus))
+        print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job, LARGE_COVERS,
+                                                           "large-cover"), cli, fgenus))
+        print(digest_line("cover-n17-20", large_cover_jobs(workloads.Job, LARGEST_COVERS,
+                                                           "largest-cover"), cli, fgenus))
         print(digest_line("free-rank-large", large_free_rank_jobs(workloads.Job, args.seed),
                           cli, fgenus))
         probes = workloads.known_defect_probes("envelope", args.seed)
