@@ -60,6 +60,8 @@ class GenusDecomposition(NamedTuple):
 
 def decompose(g: int) -> GenusDecomposition:
     """The canonical decomposition of chi(M_g); g = 1 is the a = 0 case."""
+    if not isinstance(g, int):
+        raise ValidationError(f"genus must be an int, got {g!r}")
     if g < 0:
         raise ValidationError(f"genus must be nonnegative, got {g}")
     chi = 2 - 2 * g
@@ -239,8 +241,6 @@ def lambert_w(x) -> mpmath.mpf:
                 )
         if xm == branch:
             return mpmath.mpf(-1)
-        if xm == 0:
-            return mpmath.mpf(0)
         if xm < _MP_SERIES_CUT:
             p = mpmath.sqrt(2 * (mpmath.e * xm + 1))
             w = -1 + p - p**2 / 3 + 11 * p**3 / 72

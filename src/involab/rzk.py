@@ -38,10 +38,6 @@ class Cell(NamedTuple):
     free: int
     signs: int
 
-    @property
-    def dim(self) -> int:
-        return self.free.bit_count()
-
 
 def _subsets_ascending(mask: int) -> Iterator[int]:
     """All subsets of ``mask`` in increasing numeric order."""

@@ -1,9 +1,9 @@
 """Abstract simplicial complexes on the vertex set {1, ..., m}.
 
-Faces are stored as int bitmasks: vertex i is bit i-1, the empty face is
-mask 0 and is always present. A complex is immutable once constructed and
-downward closed by construction; ``from_facets`` closes its input, and
-``polygon_boundary`` emits the boundary cycle of an m-gon directly.
+Faces are stored as int bitmasks: vertex i is bit i-1, and the empty set,
+mask 0, is always a face. A complex is immutable once constructed and
+downward closed by construction: ``SimplicialComplex`` closes its masks, and
+``from_facets`` and ``polygon_boundary`` (through ``from_facets``) call it.
 
 Vertices may be "ghosts": m counts ambient coordinates, and a vertex that
 appears in no face (not even as a singleton) is legal.
@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 from .errors import CapError, ValidationError
 
 MAX_VERTICES = 1024  # every constructor refuses m above this, before it builds a mask
-MAX_FACES = 1 << 20  # the downward closure refuses facets with more faces in all
+MAX_FACES = 1 << 20  # SimplicialComplex refuses masks with more subsets than this in all
 
 
 def mask_of(vertices: Iterable[int], m: int) -> int:
@@ -41,19 +41,7 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _downward_closure(facets: list[int]) -> frozenset[int]:
-    if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
-        raise CapError(f"the facets have more than the face cap of {MAX_FACES} faces")
-    faces = {0}
-    for f in facets:
-        sub = f
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & f
-    return frozenset(faces)
-
-
-class _Complex(NamedTuple):  # a NamedTuple body may not define __new__; the subclass checks
+class _Complex(NamedTuple):  # a NamedTuple may not define __new__; the subclass checks and closes
     m: int
     faces: frozenset[int]
 
@@ -61,24 +49,32 @@ class _Complex(NamedTuple):  # a NamedTuple body may not define __new__; the sub
 class SimplicialComplex(_Complex):
     """A downward-closed face set over m ambient vertices.
 
-    ``faces`` always contains 0 (the empty face). Equality and hashing are
-    structural. Use the module constructors rather than building by hand;
-    they guarantee the closure invariant.
+    ``faces`` is any iterable of face masks, facets enough: the constructor
+    adds every subset of each, the empty set 0 included, after it has
+    refused masks outside the m vertices and masks with more than
+    ``MAX_FACES`` subsets in all. Equality and hashing are structural.
     """
 
     __slots__ = ()
 
-    def __new__(cls, m: int, faces: frozenset[int] = frozenset({0})) -> SimplicialComplex:
+    def __new__(cls, m: int, faces: Iterable[int] = ()) -> SimplicialComplex:
         if m < 0:
             raise ValidationError("m must be nonnegative")
         if m > MAX_VERTICES:
             raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
-        for f in faces:  # faster than min() and max(); a negative f >> m is -1
+        masks = list(faces)
+        for f in masks:  # faster than min() and max(); a negative f >> m is -1
             if f >> m:
                 raise ValidationError("face mask exceeds ambient vertex set")
-        if 0 not in faces:
-            raise ValidationError("the empty face must be present")
-        return super().__new__(cls, m, faces)
+        if sum(1 << f.bit_count() for f in masks) > MAX_FACES:
+            raise CapError(f"the facets have more than the face cap of {MAX_FACES} faces")
+        closed = {0}
+        for f in masks:
+            sub = f
+            while sub:
+                closed.add(sub)
+                sub = (sub - 1) & f
+        return super().__new__(cls, m, frozenset(closed))
 
     @property
     def dim(self) -> int:
@@ -87,25 +83,21 @@ class SimplicialComplex(_Complex):
 
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Complex generated by the given facets (downward closure is taken)."""
+    """Complex generated by facets as 1-based vertex lists; m is capped before one is read."""
     if m > MAX_VERTICES:
         raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
-    masks = [mask_of(f, m) for f in facets]
-    return SimplicialComplex(m, _downward_closure(masks))
+    return SimplicialComplex(m, [mask_of(f, m) for f in facets])
 
 
 def polygon_boundary(m: int) -> SimplicialComplex:
     """Boundary of the m-gon: vertices 1..m, edges {i, i+1} cyclically.
 
-    Needs m >= 3. Face count is 2m + 1 (empty face, m vertices, m edges).
+    Needs m >= 3. Face count is 2m + 1 (the empty set, m vertices, m edges).
     For m = 3 this is the full triangle boundary, every pair is an edge.
     """
     if m < 3:
         raise ValidationError(f"a polygon needs at least 3 vertices, got m={m}")
-    if m > MAX_VERTICES:
-        raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
-    edges = [(i, i % m + 1) for i in range(1, m + 1)]
-    return from_facets(m, edges)
+    return from_facets(m, ((i, i % m + 1) for i in range(1, m + 1)))
 
 
 def parse_complex(text: str) -> SimplicialComplex:
@@ -141,7 +133,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             facets.append(mask_of(verts, m))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-    return SimplicialComplex(m, _downward_closure(facets))
+    return SimplicialComplex(m, facets)
 
 
 def read_complex(path: str) -> SimplicialComplex:

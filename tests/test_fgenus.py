@@ -20,6 +20,7 @@ at exactly the predicted genus.
 """
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -93,6 +94,14 @@ def test_decompose_matches_brute_scan():
 def test_decompose_rejects_negative_genus():
     with pytest.raises(ValidationError):
         decompose(-1)
+
+
+@pytest.mark.parametrize("g", [2.5, 2.0, "2", None])
+def test_decompose_refuses_a_genus_that_is_not_an_int(g):
+    for fn in (decompose, f_bounds, f_exact):
+        with pytest.raises(ValidationError, match=f"genus must be an int, got {re.escape(repr(g))}"):
+            fn(g)
+    assert decompose(True) == decompose(1)  # a bool is an int
 
 
 def test_f_bounds_shape():
@@ -367,8 +376,8 @@ def test_lambert_w_matches_the_mpf_object_loop_bit_for_bit():
     points and log-spaced x up to 3e25 and past the known defect."""
     cut = fgenus._MP_SERIES_CUT
     e_inv = -1 / math.e
-    xs = [e_inv, -0.27, 3.0, cut, 0, 0.0, 1, -0.5, 1e27, 1e30, "0.25", mpmath.e,
-          float("-inf"), -mpmath.inf]
+    xs = [e_inv, -0.27, 3.0, cut, 0, 0.0, "0", -0.0, mpmath.mpf(0), 1, -0.5, 1e27, 1e30,
+          "0.25", mpmath.e, float("-inf"), -mpmath.inf]
     for x0 in (e_inv, -0.27, 3.0, cut):
         for d in (-1, 1):
             x = x0

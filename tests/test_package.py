@@ -166,8 +166,8 @@ def test_simplicial_complex_still_validates():
         SimplicialComplex(-1)
     with pytest.raises(ValidationError, match="exceeds"):
         SimplicialComplex(2, frozenset({0, 0b100}))
-    with pytest.raises(ValidationError, match="empty face"):
-        SimplicialComplex(2, frozenset({0b1}))
+    assert SimplicialComplex(3, frozenset({1, 2})) == from_facets(3, [[1], [2]])
+    assert SimplicialComplex(3, frozenset()) == SimplicialComplex(3)
     assert SimplicialComplex(3) == SimplicialComplex(m=3, faces=frozenset({0}))
     assert repr(SimplicialComplex(1)) == "SimplicialComplex(m=1, faces=frozenset({0}))"
 

@@ -4,6 +4,7 @@ import pytest
 
 from involab.action import max_free_rank
 from involab.errors import CapError, ValidationError
+from involab.rzk import build, surface_report
 from involab.scomplex import (
     MAX_FACES,
     MAX_VERTICES,
@@ -94,13 +95,35 @@ def test_empty_complex_has_empty_face():
     (3, frozenset({0, 0b1000}), "exceeds ambient"),  # the mask 2^m
     (3, frozenset({0, 1, 1 << 40}), "exceeds ambient"),
     (0, frozenset({0, 1}), "exceeds ambient"),
-    (3, frozenset({1, 2}), "empty face"),
-    (3, frozenset(), "empty face"),
+    (3, [1, 0b1000], "exceeds ambient"),  # any iterable of masks, no empty face needed
+    (3, iter((0b11, 0b1000)), "exceeds ambient"),  # a one-shot iterator
     (-1, frozenset({0}), "nonnegative"),
 ])
 def test_constructor_refuses_masks_out_of_range_and_a_missing_empty_face(m, faces, message):
     with pytest.raises(ValidationError, match=message):
         SimplicialComplex(m, faces)
+
+
+@pytest.mark.parametrize("faces,vertex_lists", [
+    ({0b111}, [[1, 2, 3]]),
+    ({0b11}, [[1, 2]]),  # an edge without its vertices
+    ({1, 0b11}, [[1], [1, 2]]),
+    ({1, 2}, [[1], [2]]),  # the empty face is added, not required
+    (set(), []),
+])
+def test_a_hand_built_face_set_is_closed(faces, vertex_lists):
+    K = SimplicialComplex(3, faces)
+    assert K == from_facets(3, vertex_lists)
+    assert max_free_rank(K) == max_free_rank(from_facets(3, vertex_lists))
+    assert surface_report(build(K)) == surface_report(build(from_facets(3, vertex_lists)))
+
+
+def test_the_full_triangle_built_by_hand_is_the_full_triangle():
+    K = SimplicialComplex(3, frozenset({0, 0b111}))
+    assert K == from_facets(3, [[1, 2, 3]])
+    assert max_free_rank(K)[0] == 0  # every vertex set is a face
+    report = surface_report(build(K))
+    assert (report["V"], report["E"], report["F"], report["chi"]) == (8, 12, 6, 1)
 
 
 def test_constructor_takes_the_masks_up_to_the_whole_vertex_set():
@@ -171,6 +194,10 @@ def test_sizes_that_drive_memory_are_capped_before_allocation():
     assert len(polygon_boundary(MAX_VERTICES).faces) == 2 * MAX_VERTICES + 1
     full = from_facets(20, [range(1, 21)])  # exactly at the face cap
     assert len(full.faces) == MAX_FACES
+    # the constructor closes what it is given, so it checks the face cap too
+    with pytest.raises(CapError, match="face cap"):
+        SimplicialComplex(24, [(1 << 24) - 1])
+    assert len(SimplicialComplex(20, [(1 << 20) - 1]).faces) == MAX_FACES
     # the library constructors check the cap too: 10^12 ghost vertices would
     # have had max_free_rank build 10^12-bit witness rows
     with pytest.raises(CapError, match=f"m={10**12} exceeds the vertex cap {MAX_VERTICES}"):
