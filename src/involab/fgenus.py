@@ -20,13 +20,16 @@ inverting that over the reals gives the envelope
 
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
-in exact integers, never through floats. Below g = 10^26 (H_FIXED_POINT_BELOW)
-H takes one Halley step for W from a float64 start in fixed-point Python
-ints at scale 2^-160, with its own exponential and a 160-bit ln 2, and
-rounds to float once; from there on it calls lambert_w, which iterates
-in 40-digit mpmath arithmetic. Only lambert_w, and H on a genus that is
-not an int or float below 10^26 (an mpf, say), import mpmath, so ``f``
-and ``figure`` never load it.
+in exact integers, never through floats, and a ``figure`` row reuses
+the decomposition that gave its bounds. The float64 start of W takes
+Halley steps until one moves it by at most 4e-6 relative, which leaves
+it within about an ulp (the next step is never taken). Below g = 10^26
+(H_FIXED_POINT_BELOW) H takes one Halley step for W from that start in
+fixed-point Python ints at scale 2^-160, with its own exponential and a
+160-bit ln 2, and rounds to float once; from there on it calls
+lambert_w, which iterates in 40-digit mpmath arithmetic. Only lambert_w,
+and H on a genus that is not an int or float below 10^26 (an mpf, say),
+import mpmath, so ``f`` and ``figure`` never load it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ if TYPE_CHECKING:
     import mpmath
 
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.015-0.025 ms
+MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.012-0.015 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -139,6 +142,8 @@ def f_exact(g: int) -> FValue:
 
 def min_genus(n: int) -> int:
     """Smallest orientable genus carrying a free rank-n action: 1 + 2^(n-1)(n-2)."""
+    if not isinstance(n, int):
+        raise ValidationError(f"rank must be an int, got {n!r}")
     if n < 1:
         raise ValidationError(f"rank must be >= 1, got {n}")
     return 1 + (1 << (n - 1)) * (n - 2)
@@ -149,6 +154,8 @@ def equality_genera(gmax: int) -> list[tuple[int, int]]:
 
     The n = 1 entry is (1, 0), the sphere with the antipodal involution.
     """
+    if not isinstance(gmax, int):
+        raise ValidationError(f"gmax must be an int, got {gmax!r}")
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
     out = []
@@ -163,7 +170,8 @@ LAMBERT_TOL = 1e-13  # lambert_w stops once |w e^w - x| is at most this
 LAMBERT_MAX_STEPS = 100  # and raises CrossCheckError after this many Halley steps
 _BRANCH_SERIES_CUT = -0.27  # the seed comes from the branch-point series below this
 _MP_SERIES_CUT = (0.01**2 / 2 - 1) / math.e  # p < 0.01 below this: series at 40 digits
-_SEED_STEPS = 6  # at most; 2-4 settle within an ulp away from the branch
+_SEED_STEPS = 6  # at most; 1-3 away from the branch
+_SEED_SETTLED = 4e-6  # a relative step this small leaves the next one below an ulp
 
 
 def _float_seed(x: float) -> float:
@@ -173,7 +181,10 @@ def _float_seed(x: float) -> float:
     p = sqrt(2(e x + 1)) below -0.27, from ln(1+x) up to 3, and from
     L1 - L2 + L2/L1 with L1 = ln x, L2 = ln L1 above (Corless et al.,
     "On the Lambert W function", 1996), then takes Halley steps in
-    floats until a step no longer moves W by more than an ulp.
+    floats until one moves W by at most _SEED_SETTLED relative. Halley
+    triples the correct digits, so the step after that one would move W
+    by less than an ulp, and it is not taken: from -0.27 on the result
+    is within 4e-16 relative of W, and most starts take 2 steps.
     """
     if x < _BRANCH_SERIES_CUT:
         p = math.sqrt(2 * (math.e * x + 1))
@@ -190,7 +201,7 @@ def _float_seed(x: float) -> float:
         wp1 = w + 1
         step = f / (ew * wp1 - (w + 2) * f / (2 * wp1))
         w -= step
-        if abs(step) <= 2.3e-16 * abs(w):
+        if abs(step) <= _SEED_SETTLED * abs(w):
             break
     return w
 
@@ -335,6 +346,12 @@ def _envelope_fixed(g_fix: int, g) -> float:
     return (w + 2 * _LN2_FIX) / _LN2_FIX
 
 
+def _envelope_at_int(g, rank: int | None) -> float:
+    """H at a genus g of int value: the rank n where g = min_genus(n), else
+    the fixed-point route, which needs g below H_FIXED_POINT_BELOW."""
+    return float(rank) if rank is not None else _envelope_fixed(int(g) << _FIX, g)
+
+
 def H(g) -> float:
     """The envelope W((g-1) ln2 / 2)/ln2 + 2, as a float.
 
@@ -351,9 +368,12 @@ def H(g) -> float:
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
     if isinstance(g, (int, float)):
-        if g == int(g) and (dec := decompose(int(g))).n == 2 - dec.a:
-            return float(dec.n)
-        if g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
+        if g == int(g):
+            dec = decompose(int(g))
+            rank = dec.n if dec.n == 2 - dec.a else None
+            if rank is not None or g < H_FIXED_POINT_BELOW:
+                return _envelope_at_int(g, rank)
+        elif g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
             num, den = g.as_integer_ratio()
             return _envelope_fixed((num << _FIX) // den, g)
     import mpmath
@@ -379,11 +399,14 @@ class FigureRow(NamedTuple):
 
 def _figure_row(g: int) -> FigureRow:
     fv = f_exact(g)  # g, f_lower, f_upper, f_exact lead both tuples
-    return FigureRow(*fv[:4], H(g), min_genus(fv.f_upper) == g)
+    equality = min_genus(fv.f_upper) == g
+    return FigureRow(*fv[:4], _envelope_at_int(g, fv.f_upper if equality else None), equality)
 
 
 def figure1_data(gmax: int) -> list[FigureRow]:
     """Rows g = 0..gmax of the bounds/exact/envelope table."""
+    if not isinstance(gmax, int):
+        raise ValidationError(f"gmax must be an int, got {gmax!r}")
     if gmax < 0:
         raise ValidationError(f"gmax must be nonnegative, got {gmax}")
     if gmax > MAX_FIGURE_G:

@@ -52,7 +52,10 @@ class SimplicialComplex(_Complex):
     ``faces`` is any iterable of face masks, facets enough: the constructor
     adds every subset of each, the empty set 0 included, after it has
     refused masks outside the m vertices and masks with more than
-    ``MAX_FACES`` subsets in all. Equality and hashing are structural.
+    ``MAX_FACES`` subsets in all. That count repeats a subset of two masks,
+    so past the cap it is taken again without the masks that lie one
+    vertex below another mask: a closed face set then counts its facets'
+    subsets alone. Equality and hashing are structural.
     """
 
     __slots__ = ()
@@ -66,8 +69,18 @@ class SimplicialComplex(_Complex):
         for f in masks:  # faster than min() and max(); a negative f >> m is -1
             if f >> m:
                 raise ValidationError("face mask exceeds ambient vertex set")
-        if sum(1 << f.bit_count() for f in masks) > MAX_FACES:
-            raise CapError(f"the facets have more than the face cap of {MAX_FACES} faces")
+        if sum(1 << f.bit_count() for f in masks) > MAX_FACES:  # repeats counted
+            masks = set(masks)
+            below = set()  # the masks one vertex below another given mask
+            for f in masks:
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    below.add(f ^ low)
+                    rest ^= low
+            masks -= below
+            if sum(1 << f.bit_count() for f in masks) > MAX_FACES:
+                raise CapError(f"the facets have more than the face cap of {MAX_FACES} faces")
         closed = {0}
         for f in masks:
             sub = f

@@ -225,6 +225,12 @@ def test_min_genus_values():
         min_genus(0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_min_genus_refuses_a_rank_that_is_not_an_int(n):
+    with pytest.raises(ValidationError, match=f"rank must be an int, got {re.escape(repr(n))}"):
+        min_genus(n)
+
+
 def test_equality_genera():
     assert equality_genera(10_000) == [
         (1, 0), (2, 1), (3, 5), (4, 17), (5, 49), (6, 129),
@@ -289,6 +295,46 @@ def test_lambert_w_at_the_seed_switch_points_and_the_branch():
         x = -mpmath.exp(-1) + mpmath.mpf("1e-15")
         w, ref = lambert_w(x), mpmath.lambertw(x).real
         assert abs(w - ref) <= 1e-35 * abs(ref) + 1e-40 / abs(1 + ref)
+
+
+SEED_REGIONS = {  # x grid, bound on |seed - W| / |W|
+    "branch": ([fgenus._MP_SERIES_CUT + (-0.27 - fgenus._MP_SERIES_CUT) * k / 2000
+                for k in range(2000)], 2e-14),
+    "log1p": ([-0.27 + 3.27 * k / 4000 for k in range(4000)], 4e-16),
+    "asymptotic": ([3 * 10 ** (25 * k / 4000) for k in range(4001)], 3e-16),
+}
+
+
+@pytest.mark.parametrize("region", SEED_REGIONS)
+def test_float_seed_error_by_region(region):
+    """The seed against 40-digit mpmath.lambertw on each start's range,
+    from where lambert_w stops using the seed (p = 0.01) up to 7.5e25.
+    The bounds are about 2 ulps from -0.27 on, and near the branch point
+    floats resolve W + 1 only to about 1e-16 / p."""
+    xs, bound = SEED_REGIONS[region]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.lambertw(x).real
+            assert abs(fgenus._float_seed(x) - ref) <= bound * abs(ref), x
+
+
+def test_float_seed_takes_at_most_three_steps(monkeypatch):
+    """One exponential per float Halley step, counted at math.exp, on
+    the x of every genus 2..10^4 that H and figure pass the seed."""
+    calls = []
+    exp = math.exp
+
+    def counting_exp(w):
+        calls.append(w)
+        return exp(w)
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    steps = set()
+    for g in range(2, 10**4 + 1):
+        calls.clear()
+        fgenus._float_seed((g - 1) * math.log(2) / 2)
+        steps.add(len(calls))
+    assert max(steps) <= 3
 
 
 def test_lambert_w_takes_one_40_digit_step(monkeypatch):
@@ -630,6 +676,22 @@ def test_figure_rows():
     assert (r9.f_lower, r9.f_upper, r9.f_exact, r9.equality) == (3, 3, 3, False)
     assert rows[5].equality and rows[5].f_exact == 3
     assert rows[0].equality and rows[0].f_exact == 1
+
+
+@pytest.mark.parametrize("gmax", [5.5, 5.0, "5", None])
+def test_figure_refuses_a_gmax_that_is_not_an_int(gmax):
+    for fn in (figure1_data, equality_genera):
+        with pytest.raises(ValidationError, match=f"gmax must be an int, got {re.escape(repr(gmax))}"):
+            fn(gmax)
+
+
+def test_figure_H_column_is_H_bit_for_bit():
+    """A row takes H from its own decomposition; that must be H(g) itself,
+    and the figure's genera never reach H's lambert_w route."""
+    assert MAX_FIGURE_G < fgenus.H_FIXED_POINT_BELOW
+    rows = figure1_data(20_000)
+    assert [row.H for row in rows] == [H(row.g) for row in rows]
+    assert [row.g for row in rows if row.equality] == [g for _, g in equality_genera(20_000)]
 
 
 def test_figure_cap_refuses_before_any_row(monkeypatch):

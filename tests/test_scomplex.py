@@ -131,6 +131,16 @@ def test_constructor_takes_the_masks_up_to_the_whole_vertex_set():
     assert K.dim == 2 and max(K.faces) == (1 << K.m) - 1
 
 
+@pytest.mark.parametrize("k", [13, 16])
+def test_a_complex_is_rebuilt_from_its_own_faces_past_the_face_cap(k):
+    """The full k-simplex's faces have 3^k subsets in all, repeats counted,
+    which is past the cap; the facet alone has 2^k."""
+    K = from_facets(k, [range(1, k + 1)])
+    assert sum(1 << f.bit_count() for f in K.faces) > MAX_FACES >= len(K.faces)
+    assert SimplicialComplex(K.m, K.faces) == K
+    assert SimplicialComplex(K.m, [*K.faces, *K.faces]) == K  # a repeated mask counts once
+
+
 def test_vertices_of_walks_the_set_bits():
     assert vertices_of(0) == ()
     assert vertices_of(1 << 700 | 1 << 5 | 1) == (1, 6, 701)
@@ -197,6 +207,8 @@ def test_sizes_that_drive_memory_are_capped_before_allocation():
     # the constructor closes what it is given, so it checks the face cap too
     with pytest.raises(CapError, match="face cap"):
         SimplicialComplex(24, [(1 << 24) - 1])
+    with pytest.raises(CapError, match="face cap"):  # neither 20-set lies below the other
+        SimplicialComplex(21, [(1 << 20) - 1, ((1 << 20) - 1) << 1])
     assert len(SimplicialComplex(20, [(1 << 20) - 1]).faces) == MAX_FACES
     # the library constructors check the cap too: 10^12 ghost vertices would
     # have had max_free_rank build 10^12-bit witness rows

@@ -32,6 +32,16 @@ message and exit code 2 or 3.
 
 Inputs are written under a temporary directory, and jobs name them by a
 relative path, so the digests do not depend on where that directory is.
+
+``tests/stdout_digest.txt`` holds this tool's lines for seeds 1 and 7,
+each prefixed with its seed, after a first line naming the Python
+version that made them; ``tests/test_stdout_digest.py`` compares the
+lines of ``src/`` with it. A change that alters output on purpose
+regenerates the file from the repository root with
+
+    (python -c 'import platform; print("python", platform.python_version())'
+     for s in 1 7; do python tools/stdout_digest.py --src src --seed $s | sed "s/^/$s /"
+     done) > tests/stdout_digest.txt
 """
 
 from __future__ import annotations
@@ -182,6 +192,31 @@ def error_jobs(Job) -> list:
     return [Job("error", argv, "error") for argv in argvs]
 
 
+def digest_lines(seed: int, cli, fgenus, workloads):
+    """The digest's lines for one seed, in print order. Inputs are written
+    under the working directory."""
+    Job = workloads.Job
+    for name in workloads.WORKLOADS:
+        workdir = Path(name)
+        workdir.mkdir()
+        yield digest_line(name, workloads.generate(name, seed, workdir), cli, fgenus)
+    polygons = [Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
+                for m in range(3, 21) for fmt in ("json", "text")]
+    yield digest_line("rzk-m3-20", polygons, cli, fgenus)
+    yield digest_line("cover-n13-16", large_cover_jobs(Job, LARGE_COVERS, "large-cover"),
+                      cli, fgenus)
+    yield digest_line("cover-n17-20", large_cover_jobs(Job, LARGEST_COVERS, "largest-cover"),
+                      cli, fgenus)
+    yield digest_line("free-rank-large", large_free_rank_jobs(Job, seed), cli, fgenus)
+    probes = workloads.known_defect_probes("envelope", seed)
+    yield digest_line("H-probes", probes, cli, fgenus)
+    yield digest_line("H-grid", h_grid_jobs(Job, seed), cli, fgenus)
+    figure = Job("figure", ("figure", "--gmax", "5000"), "figure")
+    yield digest_line("figure-5000", [figure], cli, fgenus)
+    yield digest_line("f-resolver", f_resolver_jobs(Job), cli, fgenus)
+    yield digest_line("errors", error_jobs(Job), cli, fgenus)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the tree's src directory")
@@ -196,26 +231,8 @@ def main() -> int:
         raise SystemExit(f"involab was imported from {cli.__file__}, not {args.src}")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name in workloads.WORKLOADS:
-            workdir = Path(name)
-            workdir.mkdir()
-            print(digest_line(name, workloads.generate(name, args.seed, workdir), cli, fgenus))
-        polygons = [workloads.Job("polygon", ("rzk", "--m", str(m), "--report", fmt), "surface")
-                    for m in range(3, 21) for fmt in ("json", "text")]
-        print(digest_line("rzk-m3-20", polygons, cli, fgenus))
-        print(digest_line("cover-n13-16", large_cover_jobs(workloads.Job, LARGE_COVERS,
-                                                           "large-cover"), cli, fgenus))
-        print(digest_line("cover-n17-20", large_cover_jobs(workloads.Job, LARGEST_COVERS,
-                                                           "largest-cover"), cli, fgenus))
-        print(digest_line("free-rank-large", large_free_rank_jobs(workloads.Job, args.seed),
-                          cli, fgenus))
-        probes = workloads.known_defect_probes("envelope", args.seed)
-        print(digest_line("H-probes", probes, cli, fgenus))
-        print(digest_line("H-grid", h_grid_jobs(workloads.Job, args.seed), cli, fgenus))
-        figure = workloads.Job("figure", ("figure", "--gmax", "5000"), "figure")
-        print(digest_line("figure-5000", [figure], cli, fgenus))
-        print(digest_line("f-resolver", f_resolver_jobs(workloads.Job), cli, fgenus))
-        print(digest_line("errors", error_jobs(workloads.Job), cli, fgenus))
+        for line in digest_lines(args.seed, cli, fgenus, workloads):
+            print(line)
     return 0
 
 
