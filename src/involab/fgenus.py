@@ -20,8 +20,10 @@ inverting that over the reals gives the envelope
 
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
-in exact integers, never through floats, and a ``figure`` row reuses
-the decomposition that gave its bounds. The float64 start of W takes
+in exact integers, never through floats: a ``figure`` row reads its
+bounds, exact value, equality flag and H off one decomposition, and an
+odd-a row builds and checks its cover as ``f_exact`` does but makes no
+certificate. The float64 start of W takes
 Halley steps until one moves it by at most 4e-6 relative, which leaves
 it within about an ulp (the next step is never taken). Below g = 10^26
 (H_FIXED_POINT_BELOW) H takes one Halley step for W from that start in
@@ -44,8 +46,10 @@ from .errors import CapError, CrossCheckError, ValidationError
 if TYPE_CHECKING:
     import mpmath
 
+    from .cover import CoverComplex
+
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.012-0.015 ms
+MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.009-0.012 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -107,6 +111,21 @@ def f_bounds(g: int) -> FValue:
     return FValue(g, dec.n - 1, dec.n, None, False, "cover-resolver")
 
 
+def _resolver_cover(dec: GenusDecomposition) -> tuple[list[int], CoverComplex] | None:
+    """phi's rows w, e_0, ..., e_{n-2} for odd a and the cover they build,
+    checked connected, orientable and of genus g; None when the base's
+    genus h = 2 - a is above MAX_QUOTIENT_RANK."""
+    h = 2 - dec.a
+    if h > MAX_QUOTIENT_RANK:
+        return None
+    base = presentation(False, h)
+    rows = [base.orientation_character] + [1 << i for i in range(dec.n - 1)]
+    cc = build_cover(base, rows)
+    if not (cc.components == 1 and cc.orientable and cc.genus == dec.g):
+        raise CrossCheckError(f"resolver certificate failed for g={dec.g}: {cc.to_report()}")
+    return rows, cc
+
+
 def f_exact(g: int) -> FValue:
     """Exact f(g) where affordable.
 
@@ -114,27 +133,22 @@ def f_exact(g: int) -> FValue:
     over the h = 2 - a generators of the nonorientable base, w = 1...1
     its orientation character. Since n <= h these rows are independent,
     so the cover is connected, and w is among them, so it is orientable;
-    the matrix is certified by building the cover and checking it is
-    connected, orientable, and of genus g. Quotient genus h above
-    MAX_QUOTIENT_RANK, which also bounds the deck group by 2^h, returns
-    the bounds unresolved.
+    ``_resolver_cover``, which a ``figure`` row calls too, certifies the
+    matrix by building the cover and checking it is connected,
+    orientable, and of genus g. Quotient genus h above MAX_QUOTIENT_RANK,
+    which also bounds the deck group by 2^h, returns the bounds
+    unresolved. The certificate holds phi's bits and the cover's report.
     """
     dec = decompose(g)
-    if dec.a_even:
-        return FValue(g, dec.n, dec.n, dec.n, True, "formula")
     n = dec.n
-    h = 2 - dec.a
-    if h > MAX_QUOTIENT_RANK:
+    if dec.a_even:
+        return FValue(g, n, n, n, True, "formula")
+    built = _resolver_cover(dec)
+    if built is None:
         return FValue(g, n - 1, n, None, False, "cover-resolver")
-    base = presentation(False, h)
-    rows = [base.orientation_character] + [1 << i for i in range(n - 1)]
-    cc = build_cover(base, rows)
-    if not (cc.components == 1 and cc.orientable and cc.genus == g):
-        raise CrossCheckError(
-            f"resolver certificate failed for g={g}: {cc.to_report()}"
-        )
+    rows, cc = built
     certificate = {
-        "phi": [[(r >> i) & 1 for i in range(h)] for r in rows],
+        "phi": [[(r >> i) & 1 for i in range(2 - dec.a)] for r in rows],
         "cover": cc.to_report(),
     }
     return FValue(g, n - 1, n, n, True, "cover-resolver", certificate)
@@ -398,9 +412,16 @@ class FigureRow(NamedTuple):
 
 
 def _figure_row(g: int) -> FigureRow:
-    fv = f_exact(g)  # g, f_lower, f_upper, f_exact lead both tuples
-    equality = min_genus(fv.f_upper) == g
-    return FigureRow(*fv[:4], _envelope_at_int(g, fv.f_upper if equality else None), equality)
+    """One table row from one decomposition: equality is n == 2 - a, as in H,
+    and an odd-a row builds its cover but no certificate."""
+    dec = decompose(g)
+    n = dec.n
+    equality = n == 2 - dec.a
+    envelope = _envelope_at_int(g, n if equality else None)
+    if dec.a_even:
+        return FigureRow(g, n, n, n, envelope, equality)
+    exact = None if _resolver_cover(dec) is None else n
+    return FigureRow(g, n - 1, n, exact, envelope, equality)
 
 
 def figure1_data(gmax: int) -> list[FigureRow]:
@@ -418,8 +439,8 @@ def figure_csv(rows: list[FigureRow]) -> str:
     """Render rows as the fixed CSV: floats at 9 decimals, empty cell for
     an unresolved exact value, lowercase true/false flags."""
     lines = ["g,f_lower,f_upper,f_exact,H,equality"]
-    for r in rows:
-        exact = "" if r.f_exact is None else str(r.f_exact)
-        flag = "true" if r.equality else "false"
-        lines.append(f"{r.g},{r.f_lower},{r.f_upper},{exact},{r.H:.9f},{flag}")
+    for g, lower, upper, exact, envelope, equality in rows:
+        cell = "" if exact is None else exact
+        flag = "true" if equality else "false"
+        lines.append(f"{g},{lower},{upper},{cell},{envelope:.9f},{flag}")
     return "\n".join(lines) + "\n"

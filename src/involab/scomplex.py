@@ -118,26 +118,31 @@ def parse_complex(text: str) -> SimplicialComplex:
 
     First data line is m; each further non-empty line is one facet as
     space-separated 1-based vertex indices. ``#`` starts a comment, blank
-    lines are skipped, surrounding whitespace is ignored.
+    lines are skipped, surrounding whitespace is ignored. Facet lines are
+    read one at a time, so no line's tokens outlive it.
     """
-    data: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.partition("#")[0].split()
-        if tokens:
-            data.append((lineno, tokens))
-    if not data:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:  # the header; the facet loop goes on from the next line
+        head = raw.partition("#")[0].split()
+        if head:
+            break
+    else:
         raise ValidationError("empty complex description")
-    lineno, head = data[0]
     if len(head) != 1:
         raise ValidationError(f"line {lineno}: expected a single integer m")
     try:
         m = int(head[0])
     except ValueError:
         raise ValidationError(f"line {lineno}: m is not an integer") from None
+    if m < 0:
+        raise ValidationError(f"line {lineno}: m must be nonnegative, got {m}")
     if m > MAX_VERTICES:
         raise CapError(f"line {lineno}: m={m} exceeds the vertex cap {MAX_VERTICES}")
     facets = []
-    for lineno, tokens in data[1:]:
+    for lineno, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
         try:
             verts = [int(t) for t in tokens]
         except ValueError:

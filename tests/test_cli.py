@@ -204,6 +204,14 @@ def test_rzk_cap_exits_3(capsys):
     assert "vertex cap 1024" in err
 
 
+@pytest.mark.parametrize("text", ["-2\n1 2\n", "-2\n"])
+def test_rzk_refuses_a_negative_m_on_the_header_line(capsys, tmp_path, text):
+    path = tmp_path / "k.txt"
+    path.write_text(text)
+    assert run(capsys, "rzk", "--complex", str(path)) == (
+        2, "", "error: line 1: m must be nonnegative, got -2\n")
+
+
 def test_rzk_complete_graph_is_reported_not_capped(capsys, tmp_path):
     m = 40
     path = tmp_path / "k40.txt"

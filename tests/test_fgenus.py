@@ -22,6 +22,7 @@ at exactly the predicted genus.
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -33,10 +34,12 @@ from hypothesis import strategies as st
 
 from involab import fgenus, gf2
 from involab.action import max_free_rank
+from involab.cover import CoverComplex
 from involab.errors import CapError, CrossCheckError, ValidationError
 from involab.fgenus import (
     MAX_FIGURE_G,
     H,
+    _figure_row,
     decompose,
     equality_genera,
     f_bounds,
@@ -194,11 +197,36 @@ def test_resolver_certifies_exactly_the_small_bases():
 
 
 def test_figure_rows_agree_with_the_decomposition():
-    for row in figure1_data(600):
+    """A row calls neither f_exact nor min_genus; it must match both, on 58
+    of the 64 resolved genera below 20,000 and on the 6 above it."""
+    for row in figure1_data(20_000):
         fv, dec = f_exact(row.g), decompose(row.g)
         assert (row.f_lower, row.f_upper) == (fv.f_lower, fv.f_upper)
         assert row.f_exact == (fv.f_exact if fv.resolved else None)
         assert row.equality == (min_genus(dec.n) == row.g)
+    above = [g for g in RESOLVED_GENERA if g > 20_000]
+    assert len(above) == 6 and max(above) == 212_993
+    for g in above:
+        row, fv = _figure_row(g), f_exact(g)
+        assert fv.resolved and row[:4] == fv[:4]
+        assert row.equality == (min_genus(fv.f_upper) == g)
+
+
+def test_a_figure_row_builds_its_cover_but_no_certificate(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fgenus, "build_cover", counted("build_cover", fgenus.build_cover))
+    monkeypatch.setattr(CoverComplex, "to_report", counted("to_report", CoverComplex.to_report))
+    rows = figure1_data(300)
+    resolved = [r.g for r in rows if r.f_exact is not None and r.f_lower < r.f_upper]
+    assert len(resolved) == 37
+    assert calls == {"build_cover": 37}
 
 
 def test_resolver_budgets(monkeypatch):

@@ -1,5 +1,7 @@
 """Face-set construction, closure, and the text format."""
 
+import tracemalloc
+
 import pytest
 
 from involab.action import max_free_rank
@@ -191,6 +193,26 @@ def test_parse_complex_splits_on_any_whitespace_up_to_a_comment():
 def test_parse_complex_rejects(text):
     with pytest.raises(ValidationError):
         parse_complex(text)
+
+
+@pytest.mark.parametrize("text", ["-2\n1 2\n", "-2\n"])
+def test_parse_complex_refuses_a_negative_m_on_its_header_line(text):
+    with pytest.raises(ValidationError, match="^line 1: m must be nonnegative, got -2$"):
+        parse_complex(text)
+
+
+def test_parse_complex_keeps_no_line_past_its_facet():
+    """10^5 facet lines: a list of every line's tokens, kept until the
+    facets are read, peaked at about 29 MB; one line at a time, 6.5 MB."""
+    text = "3\n" + "1 2\n" * 10**5
+    tracemalloc.start()
+    try:
+        K = parse_complex(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K == from_facets(3, [[1, 2]])
+    assert peak < 12 * 2**20, peak
 
 
 def test_sizes_that_drive_memory_are_capped_before_allocation():
