@@ -205,10 +205,9 @@ def parse_phi(text: str, d: int) -> tuple[int, ...]:
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != d:
             raise ValidationError(
                 f"line {lineno}: expected {d} bits, got {len(tokens)}"

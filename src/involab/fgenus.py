@@ -65,12 +65,18 @@ class GenusDecomposition(NamedTuple):
         return self.a % 2 == 0
 
 
+def _check_int(name: str, value: int, least: int) -> None:
+    """Refuse a value that is not an int, or is below least (0 or 1)."""
+    if not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f">= {least}"
+        raise ValidationError(f"{name} must be {bound}, got {value}")
+
+
 def decompose(g: int) -> GenusDecomposition:
     """The canonical decomposition of chi(M_g); g = 1 is the a = 0 case."""
-    if not isinstance(g, int):
-        raise ValidationError(f"genus must be an int, got {g!r}")
-    if g < 0:
-        raise ValidationError(f"genus must be nonnegative, got {g}")
+    _check_int("genus", g, 0)
     chi = 2 - 2 * g
     if g == 1:
         return GenusDecomposition(1, 0, 0, 2)
@@ -156,10 +162,7 @@ def f_exact(g: int) -> FValue:
 
 def min_genus(n: int) -> int:
     """Smallest orientable genus carrying a free rank-n action: 1 + 2^(n-1)(n-2)."""
-    if not isinstance(n, int):
-        raise ValidationError(f"rank must be an int, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"rank must be >= 1, got {n}")
+    _check_int("rank", n, 1)
     return 1 + (1 << (n - 1)) * (n - 2)
 
 
@@ -168,10 +171,7 @@ def equality_genera(gmax: int) -> list[tuple[int, int]]:
 
     The n = 1 entry is (1, 0), the sphere with the antipodal involution.
     """
-    if not isinstance(gmax, int):
-        raise ValidationError(f"gmax must be an int, got {gmax!r}")
-    if gmax < 0:
-        raise ValidationError(f"gmax must be nonnegative, got {gmax}")
+    _check_int("gmax", gmax, 0)
     out = []
     n = 1
     while (g := min_genus(n)) <= gmax:
@@ -360,12 +360,6 @@ def _envelope_fixed(g_fix: int, g) -> float:
     return (w + 2 * _LN2_FIX) / _LN2_FIX
 
 
-def _envelope_at_int(g, rank: int | None) -> float:
-    """H at a genus g of int value: the rank n where g = min_genus(n), else
-    the fixed-point route, which needs g below H_FIXED_POINT_BELOW."""
-    return float(rank) if rank is not None else _envelope_fixed(int(g) << _FIX, g)
-
-
 def H(g) -> float:
     """The envelope W((g-1) ln2 / 2)/ln2 + 2, as a float.
 
@@ -373,8 +367,8 @@ def H(g) -> float:
     and is returned exactly: they are the g that ``decompose`` gives
     n = 2 - a (big-integer detection, no floats involved).
     Below H_FIXED_POINT_BELOW, W comes from one Halley step in 160-bit
-    fixed point (``_envelope_fixed``). An int or float genus there is
-    exact at 40 digits and goes to fixed point without mpmath; any other
+    fixed point (``_envelope_fixed``), reached without mpmath from an int
+    or float genus's exact ratio num/den (g/1 for an int). Any other
     genus, and every genus from the cut-off on, is first rounded to
     mpmath.mpf(g) at 40 digits. From the cut-off on, W comes from
     lambert_w at 40 digits; below it both give the same floats.
@@ -384,10 +378,9 @@ def H(g) -> float:
     if isinstance(g, (int, float)):
         if g == int(g):
             dec = decompose(int(g))
-            rank = dec.n if dec.n == 2 - dec.a else None
-            if rank is not None or g < H_FIXED_POINT_BELOW:
-                return _envelope_at_int(g, rank)
-        elif g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
+            if dec.n == 2 - dec.a:
+                return float(dec.n)
+        if g < H_FIXED_POINT_BELOW:  # below 2^87, so exact in 136 bits
             num, den = g.as_integer_ratio()
             return _envelope_fixed((num << _FIX) // den, g)
     import mpmath
@@ -417,7 +410,7 @@ def _figure_row(g: int) -> FigureRow:
     dec = decompose(g)
     n = dec.n
     equality = n == 2 - dec.a
-    envelope = _envelope_at_int(g, n if equality else None)
+    envelope = float(n) if equality else _envelope_fixed(g << _FIX, g)
     if dec.a_even:
         return FigureRow(g, n, n, n, envelope, equality)
     exact = None if _resolver_cover(dec) is None else n
@@ -426,10 +419,7 @@ def _figure_row(g: int) -> FigureRow:
 
 def figure1_data(gmax: int) -> list[FigureRow]:
     """Rows g = 0..gmax of the bounds/exact/envelope table."""
-    if not isinstance(gmax, int):
-        raise ValidationError(f"gmax must be an int, got {gmax!r}")
-    if gmax < 0:
-        raise ValidationError(f"gmax must be nonnegative, got {gmax}")
+    _check_int("gmax", gmax, 0)
     if gmax > MAX_FIGURE_G:
         raise CapError(f"gmax={gmax} exceeds the figure cap {MAX_FIGURE_G}")
     return [_figure_row(g) for g in range(gmax + 1)]

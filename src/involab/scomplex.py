@@ -96,9 +96,9 @@ class SimplicialComplex(_Complex):
 
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Complex generated by facets as 1-based vertex lists; m is capped before one is read."""
-    if m > MAX_VERTICES:
-        raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
+    """Complex generated by facets as 1-based vertex lists; m is checked before one is read."""
+    if not 0 <= m <= MAX_VERTICES:
+        SimplicialComplex(m)  # raises the constructor's sign or cap error
     return SimplicialComplex(m, [mask_of(f, m) for f in facets])
 
 

@@ -665,6 +665,15 @@ def test_H_exact_integer_fast_path():
     assert H_by_lambert(17) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_H_of_an_integral_float_is_H_of_the_int_bit_for_bit():
+    """An integral float takes the int's route: every g <= 5000, and the
+    stdout digest's 400 log-spaced genera, all exact floats below 10^26."""
+    log_spaced = [int(10 ** (26 * k / 400)) for k in range(400)]
+    assert all(float(g) == g < fgenus.H_FIXED_POINT_BELOW for g in log_spaced)
+    for g in list(range(5001)) + log_spaced:
+        assert H(float(g)) == H(g), g
+
+
 def test_H_float_values():
     assert H(9) == pytest.approx(3.4569995591345917, abs=1e-12)
     assert H(6) == pytest.approx(3.136865946258992, abs=1e-12)

@@ -85,6 +85,19 @@ def test_from_facets_out_of_range():
         from_facets(4, [[0]])
 
 
+def test_from_facets_refuses_a_negative_m_before_it_reads_a_facet():
+    def facets():
+        raise AssertionError("a facet was read")
+        yield [1, 2]
+
+    with pytest.raises(ValidationError, match="^m must be nonnegative$"):
+        from_facets(-2, [[1, 2]])
+    with pytest.raises(ValidationError, match="^m must be nonnegative$"):
+        from_facets(-2, facets())
+    with pytest.raises(CapError, match="vertex cap"):
+        from_facets(MAX_VERTICES + 1, facets())
+
+
 def test_empty_complex_has_empty_face():
     K = SimplicialComplex(3)
     assert 0 in K.faces
