@@ -138,18 +138,13 @@ def orientation_sign(C: CubicalSurface, g: int) -> int:
     return -1 if g.bit_count() % 2 else 1
 
 
-def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
-    """The least r in which K has a linear colouring, and one such colouring
-    λ as its values on the vertices (ghost vertices map to 0); s_R(K) = m - r.
-
-    Vertices are assigned in decreasing edge degree, each a value in the
-    span of those before or the next unit vector (breaking the GL(r)
-    symmetry) outside the span of the rest of every largest face that it
-    closes. r starts at dim K + 1 and at the bit length of a greedy
-    clique, which needs distinct nonzero values; one unit vector per
-    vertex always works. The search loops over a stack of one frame per
-    assigned position, not a recursion, so no m is too deep for it. Past
-    MAX_SEARCH_STEPS steps it raises CapError.
+def _plan(K: SimplicialComplex) -> tuple[list[int], list[list[list[int]]], list[int], int]:
+    """The colouring search's plan (order, closing, cost, r0). Vertices are
+    assigned in decreasing edge degree, each a value in the span of those
+    before or the next unit vector (breaking the GL(r) symmetry) outside
+    the span of the rest of every largest face that it closes. r starts at
+    dim K + 1 and at the bit length of a greedy clique, which needs distinct
+    nonzero values; one unit vector per vertex always works.
     """
     faces, m = K.faces, K.m
     nbr = [0] * m
@@ -164,7 +159,7 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
         before.append(before[i] | 1 << v)
         if clique & nbr[v] == clique:  # v meets the whole clique so far
             clique |= 1 << v
-    closing: list[list[int]] = [[] for _ in order]  # by position: the others' positions
+    closing: list[list[list[int]]] = [[] for _ in order]  # by position: the others' positions
     cost = [1] * (len(order) + 1)  # by position: a visit and the span elements it builds
     for f in faces:
         if f & (f - 1):
@@ -180,7 +175,17 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
             if not grow:
                 closing[last].append(rest)
                 cost[last] += 1 << len(rest)
-    r = max(K.dim + 1, clique.bit_count().bit_length())
+    return order, closing, cost, max(K.dim + 1, clique.bit_count().bit_length())
+
+
+def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
+    """The least r in which K has a linear colouring, and one such colouring
+    λ as its values on the vertices (ghost vertices map to 0); s_R(K) = m - r.
+    The search runs ``_plan`` over a stack of one frame per assigned position,
+    not a recursion, so no m is too deep for it. Past MAX_SEARCH_STEPS steps
+    it raises CapError.
+    """
+    order, closing, cost, r = _plan(K)
     frames: list[list] = []  # by position: forbidden set, value, d (unit vectors before it)
     steps = d = 0
     while True:
@@ -211,7 +216,7 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
             frames.pop()
         else:  # no colouring into GF(2)^r: search r + 1 from the first position, whose d is 0
             r += 1
-    colouring = [0] * m
+    colouring = [0] * K.m
     for v, frame in zip(order, frames):
         colouring[v] = frame[1]
     return r, colouring

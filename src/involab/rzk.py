@@ -55,9 +55,9 @@ class CubicalSurface:
     Its d-cells are the pairs (face I of K with d vertices, signs on the
     coordinates outside I), so every count is a closed form in K's faces
     and ``build`` enumerates nothing. ``cells(d)`` lists the d-cells in
-    increasing (free, signs) order, computed on first access and kept;
-    no report calls it, and it refuses m > MAX_CELL_M, 2^m vertices
-    alone being more than it can hold.
+    increasing (free, signs) order, built anew on each call; no report
+    calls it, and it refuses m > MAX_CELL_M, 2^m vertices alone being
+    more than it can hold.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -66,7 +66,6 @@ class CubicalSurface:
         self._faces: dict[int, list[int]] = {}
         for face in sorted(K.faces):
             self._faces.setdefault(face.bit_count(), []).append(face)
-        self._cells: dict[int, tuple[Cell, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -79,12 +78,8 @@ class CubicalSurface:
     def cells(self, d: int) -> tuple[Cell, ...]:
         if self.m > MAX_CELL_M:
             raise CapError(f"m={self.m} exceeds the cell-listing cap {MAX_CELL_M}")
-        if d not in self._cells:
-            full = (1 << self.m) - 1
-            self._cells[d] = tuple(
-                Cell(f, s) for f in self.faces(d) for s in _subsets_ascending(full & ~f)
-            )
-        return self._cells[d]
+        full = (1 << self.m) - 1
+        return tuple(Cell(f, s) for f in self.faces(d) for s in _subsets_ascending(full & ~f))
 
     def _count(self, d: int) -> int:
         # 2^(m-d) cells per face; no face, no shift, so d > m gives 0

@@ -61,6 +61,8 @@ class SimplicialComplex(_Complex):
     __slots__ = ()
 
     def __new__(cls, m: int, faces: Iterable[int] = ()) -> SimplicialComplex:
+        if not isinstance(m, int):  # a bool is an int
+            raise ValidationError(f"m must be an int, got {m!r}")
         if m < 0:
             raise ValidationError("m must be nonnegative")
         if m > MAX_VERTICES:
@@ -97,8 +99,8 @@ class SimplicialComplex(_Complex):
 
 def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex generated by facets as 1-based vertex lists; m is checked before one is read."""
-    if not 0 <= m <= MAX_VERTICES:
-        SimplicialComplex(m)  # raises the constructor's sign or cap error
+    if not isinstance(m, int) or not 0 <= m <= MAX_VERTICES:
+        SimplicialComplex(m)  # raises the constructor's type, sign or cap error
     return SimplicialComplex(m, [mask_of(f, m) for f in facets])
 
 

@@ -10,6 +10,7 @@ the Gaussian binomial counts) and checking each span element by hand.
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,12 @@ def test_max_free_rank_deterministic_witness():
     assert w1.basis_vertex_lists() == [[1, 3], [2, 4], [1, 2, 5]]
 
 
+K24 = from_facets(24, itertools.combinations(range(1, 25), 2))
+TRIANGLES_16 = from_facets(16, itertools.combinations(range(1, 17), 3))
+TRIANGLES_60 = from_facets(24, random.Random(5).sample(
+    list(itertools.combinations(range(1, 25), 3)), 60))
+
+
 def test_complete_graphs_stop_at_the_colouring_bound():
     # K_m needs m distinct nonzero values, so the rank is m - ceil(log2(m + 1)); a
     # subspace search took more than 30 s on these from m = 16, and 5 s on the
@@ -265,13 +272,24 @@ def test_complete_graphs_stop_at_the_colouring_bound():
     start = time.perf_counter()
     cases = [(from_facets(m, itertools.combinations(range(1, m + 1), 2)), m - m.bit_length())
              for m in range(16, 25)]
-    triangles = random.Random(5).sample(list(itertools.combinations(range(1, 25), 3)), 60)
-    cases.append((from_facets(24, triangles), 21))
+    cases.append((TRIANGLES_60, 21))
     for K, want in cases:
         rank, witness = max_free_rank(K)
         assert rank == want == witness.rank
         assert is_free_subgroup(K, witness)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("K,steps", [(K24, 577), (TRIANGLES_16, 2_259), (TRIANGLES_60, 98_538)],
+                         ids=["K24", "triangles-16", "triangles-60"])
+def test_the_search_takes_the_steps_that_its_budget_comment_states(K, steps):
+    """The step counts in MAX_SEARCH_STEPS's comment and the README: a change
+    to the plan's order or costs moves them."""
+    with mock.patch.object(action, "MAX_SEARCH_STEPS", steps):
+        action._colouring(K)
+    with mock.patch.object(action, "MAX_SEARCH_STEPS", steps - 1):
+        with pytest.raises(CapError, match=f"budget of {steps - 1} steps"):
+            action._colouring(K)
 
 
 def test_max_free_rank_cap():

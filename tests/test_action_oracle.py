@@ -14,7 +14,10 @@ planted colouring, whether one dimension too small or equal on the two
 ends of an edge, must end in CrossCheckError. ``oracle_colouring`` is
 the colouring search as a recursive ``assign``: ``_colouring``'s loop
 must return the same (r, λ), charge the same steps, and so raise
-CapError on the same inputs under a small budget.
+CapError on the same inputs under a small budget. Both take their plan,
+the vertex order, the pruned faces, the step costs and r's start, from
+``action._plan``, so the comparison checks the search alone; the
+pruning is checked against every face of K that closes at a position.
 
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
@@ -39,7 +42,7 @@ from involab import action, gf2
 from involab.action import Subgroup, is_free_subgroup, max_free_rank
 from involab.errors import CapError, CrossCheckError
 from involab.rzk import Cell
-from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
+from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary, vertices_of
 from test_gf2 import pivot
 
 
@@ -142,37 +145,9 @@ def oracle_max_free_rank(K):
 def oracle_colouring(K):
     """``action._colouring`` with its search written as a recursive ``assign``,
     one call per position, as it was before the search kept its positions on
-    an explicit stack: (r, λ, the steps it took). It reads
-    ``action.MAX_SEARCH_STEPS`` when called."""
-    faces, m = K.faces, K.m
-    nbr = [0] * m
-    for f in faces:
-        if f.bit_count() == 2:
-            nbr[f.bit_length() - 1] |= f & -f
-            nbr[(f & -f).bit_length() - 1] |= f & (f - 1)
-    order = sorted((v for v in range(m) if 1 << v in faces), key=lambda v: -nbr[v].bit_count())
-    pos, before, clique = [0] * m, [0], 0
-    for i, v in enumerate(order):
-        pos[v] = i
-        before.append(before[i] | 1 << v)
-        if clique & nbr[v] == clique:
-            clique |= 1 << v
-    closing = [[] for _ in order]
-    cost = [1] * (len(order) + 1)
-    for f in faces:
-        if f & (f - 1):
-            rest, g = [], f
-            while g:
-                rest.append(pos[(g & -g).bit_length() - 1])
-                g &= g - 1
-            rest.sort()
-            last = rest.pop()
-            grow = nbr[order[last]] & before[last] & ~f
-            while grow and f | grow & -grow not in faces:
-                grow &= grow - 1
-            if not grow:
-                closing[last].append(rest)
-                cost[last] += 1 << len(rest)
+    an explicit stack, over the same ``action._plan``: (r, λ, the steps it
+    took). It reads ``action.MAX_SEARCH_STEPS`` when called."""
+    order, closing, cost, r0 = action._plan(K)
     value = [0] * len(order)
     steps = 0
     budget = action.MAX_SEARCH_STEPS
@@ -197,9 +172,8 @@ def oracle_colouring(K):
                     return True
         return False
 
-    r0 = max(K.dim + 1, clique.bit_count().bit_length())
     r = next(r for r in range(r0, len(order) + 1) if assign(0, 0, r))
-    colouring = [0] * m
+    colouring = [0] * K.m
     for v, w in zip(order, value):
         colouring[v] = w
     return r, colouring, steps
@@ -275,6 +249,43 @@ def test_freeness_agrees_with_the_span_walk(kind):
         verdicts.add(verdict)
     if kind not in ("empty", "simplex"):
         assert verdicts == {True, False}  # both answers were exercised
+
+
+def test_the_plan_forbids_what_every_face_closing_at_a_position_forbids():
+    """The pruning keeps only the largest faces closing at each position: a
+    face f one earlier neighbour u short of the face f + u forbids no value
+    that f + u does not. So for any values of the earlier positions, the
+    spans of closing[i] must forbid the same set as every face closing at i."""
+    def forbidden(rests, value):
+        out = {0}
+        for rest in rests:
+            span = [0]
+            for u in rest:
+                span += [x ^ value[u] for x in span]
+            out.update(span)
+        return out
+
+    rng, pruned = random.Random("colouring-plan"), 0
+    for kind in sorted(KINDS):
+        for _ in range(KINDS[kind]):
+            K = _random_complex(kind, rng)
+            order, closing, cost, _ = action._plan(K)
+            assert sorted(order) == [v for v in range(K.m) if 1 << v in K.faces], (kind, K)
+            pos = {v + 1: i for i, v in enumerate(order)}
+            closing_faces = [[] for _ in order]  # by position: the others' positions
+            for f in K.faces:
+                if f & (f - 1):  # a vertex alone forbids only 0
+                    rest = sorted(pos[v] for v in vertices_of(f))
+                    closing_faces[rest.pop()].append(rest)
+            pruned += sum(map(len, closing_faces)) - sum(map(len, closing))
+            for _ in range(3):
+                value = [rng.randrange(1, 1 << 6) for _ in order]
+                for i, rests in enumerate(closing):
+                    assert forbidden(rests, value) == forbidden(closing_faces[i], value), (
+                        kind, K, i, value)
+            assert cost == [1 + sum(1 << len(rest) for rest in rests) for rests in closing] + [1], (
+                kind, K)
+    assert pruned  # the pruning dropped faces somewhere
 
 
 @st.composite

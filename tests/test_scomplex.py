@@ -1,5 +1,6 @@
 """Face-set construction, closure, and the text format."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -96,6 +97,23 @@ def test_from_facets_refuses_a_negative_m_before_it_reads_a_facet():
         from_facets(-2, facets())
     with pytest.raises(CapError, match="vertex cap"):
         from_facets(MAX_VERTICES + 1, facets())
+
+
+@pytest.mark.parametrize("m,shown", [(2.5, "2.5"), (3.0, "3.0"), ("3", "'3'"), (None, "None")])
+def test_a_non_int_m_is_refused_before_a_facet_is_read(m, shown):
+    def facets():
+        raise AssertionError("a facet was read")
+        yield [1, 2]
+
+    with pytest.raises(ValidationError, match=rf"^m must be an int, got {re.escape(shown)}$"):
+        SimplicialComplex(m)
+    with pytest.raises(ValidationError, match=rf"^m must be an int, got {re.escape(shown)}$"):
+        from_facets(m, facets())
+
+
+def test_a_bool_m_counts_as_an_int():
+    assert SimplicialComplex(True, [1]).faces == frozenset({0, 1})
+    assert from_facets(False, []) == SimplicialComplex(0)
 
 
 def test_empty_complex_has_empty_face():
