@@ -8,10 +8,10 @@ table as CSV).
 
 Primary output goes to stdout and is byte-deterministic for fixed
 inputs; everything diagnostic goes to stderr. Exit codes: 0 success,
-2 invalid input, 3 a resource cap was exceeded, 4 two derivations of
-the same answer disagreed (CrossCheckError, a bug in the package).
-Every cap is a fixed module constant, checked before the allocation it
-guards; no flag or environment variable moves one.
+else the error type's ``exit_code``: 2 invalid input, 3 a resource cap
+was exceeded, 4 two derivations of one answer disagreed (CrossCheckError,
+a bug). Every cap is a fixed module constant, checked before the
+allocation it guards; no flag or environment variable moves one.
 
 Each command imports the modules it runs when it runs; this module
 imports none but ``errors``. So only ``f`` and ``figure`` load ``fgenus``,
@@ -31,11 +31,6 @@ from .errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 
 if TYPE_CHECKING:
     from .scomplex import SimplicialComplex
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CAP = 3
-EXIT_CROSSCHECK = 4
 
 
 def _boolean(text: str) -> bool:
@@ -59,7 +54,7 @@ def _load_complex(args: argparse.Namespace) -> SimplicialComplex:
         raise ValidationError(f"cannot read {args.complex}: {exc}")
 
 
-def cmd_rzk(args: argparse.Namespace) -> int:
+def cmd_rzk(args: argparse.Namespace) -> None:
     from . import rzk
     K = _load_complex(args)
     C = rzk.build(K)
@@ -69,36 +64,33 @@ def cmd_rzk(args: argparse.Namespace) -> int:
     else:
         for key, value in report.items():
             print(f"{key} = {value}")
-    return EXIT_OK
 
 
-def cmd_free_rank(args: argparse.Namespace) -> int:
+def cmd_free_rank(args: argparse.Namespace) -> None:
     from . import action
     K = _load_complex(args)
     rank, witness = action.max_free_rank(K)
     if args.json:
         print(json.dumps({"rank": rank, "basis": witness.basis_vertex_lists()}))
-        return EXIT_OK
+        return
     print(rank)
     if args.witness:
         for verts in witness.basis_vertex_lists():
             print(" ".join(str(v) for v in verts))
-    return EXIT_OK
 
 
-def cmd_f(args: argparse.Namespace) -> int:
+def cmd_f(args: argparse.Namespace) -> None:
     from . import fgenus
     if args.g < 0:
         raise ValidationError(f"--g must be nonnegative, got {args.g}")
-    if not args.exact:
+    if args.exact:
+        print(json.dumps(fgenus.f_exact(args.g)._asdict()))
+    else:
         fv = fgenus.f_bounds(args.g)
         print(f"{fv.f_lower} {fv.f_upper}")
-        return EXIT_OK
-    print(json.dumps(fgenus.f_exact(args.g)._asdict()))
-    return EXIT_OK
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
+def cmd_cover(args: argparse.Namespace) -> None:
     from . import cover
     base = cover.presentation(args.orientable, args.genus)
     try:
@@ -109,10 +101,9 @@ def cmd_cover(args: argparse.Namespace) -> int:
     phi = cover.parse_phi(text, base.generator_count)
     built = cover.build_cover(base, phi)
     print(json.dumps(built.to_report()))
-    return EXIT_OK
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace) -> None:
     from . import fgenus
     # --threads is still accepted so that existing scripts keep working;
     # rows are always computed serially
@@ -122,13 +113,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     text = fgenus.figure_csv(rows)
     if args.out == "-":
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,16 +178,11 @@ def main(argv: list[str] | None = None) -> int:
         # (no command, an unknown one, -h) needs the top-level parser
         command = commands.get(argv[0]) if argv else None
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-        return args.func(args)
-    except (ValidationError, NotASurfaceError) as exc:
+        args.func(args)
+    except (ValidationError, NotASurfaceError, CapError, CrossCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

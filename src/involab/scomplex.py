@@ -23,9 +23,12 @@ def mask_of(vertices: Iterable[int], m: int) -> int:
     """Bitmask of a set of 1-based vertices, validated against [1, m]."""
     mask = 0
     for v in vertices:
-        if not 1 <= v <= m:
-            raise ValidationError(f"vertex {v} out of range 1..{m}")
-        mask |= 1 << (v - 1)
+        try:
+            if not 1 <= v <= m:
+                raise ValidationError(f"vertex {v} out of range 1..{m}")
+            mask |= 1 << (v - 1)
+        except TypeError:  # a bool is an int
+            raise ValidationError(f"vertex {v!r} is not an int") from None
     return mask
 
 
@@ -68,9 +71,12 @@ class SimplicialComplex(_Complex):
         if m > MAX_VERTICES:
             raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
         masks = list(faces)
-        for f in masks:  # faster than min() and max(); a negative f >> m is -1
-            if f >> m:
-                raise ValidationError("face mask exceeds ambient vertex set")
+        try:
+            for f in masks:  # faster than min() and max(); a negative f >> m is -1
+                if f >> m:
+                    raise ValidationError("face mask exceeds ambient vertex set")
+        except TypeError:  # a bool is an int
+            raise ValidationError(f"face mask {f!r} is not an int") from None
         if sum(1 << f.bit_count() for f in masks) > MAX_FACES:  # repeats counted
             masks = set(masks)
             below = set()  # the masks one vertex below another given mask

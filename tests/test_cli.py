@@ -19,7 +19,7 @@ from involab import cli
 from involab.action import MAX_SEARCH_STEPS
 from involab.cli import main
 from involab.cover import parse_phi
-from involab.errors import CapError, ValidationError
+from involab.errors import CapError, CrossCheckError, NotASurfaceError, ValidationError
 from involab.rzk import polygon_genus
 from involab.scomplex import parse_complex
 
@@ -165,6 +165,31 @@ def test_free_rank_cross_check_failure_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error,code", [
+    (ValidationError, 2), (NotASurfaceError, 2), (CapError, 3), (CrossCheckError, 4),
+])
+def test_each_error_type_exits_with_its_own_code(capsys, monkeypatch, error, code):
+    from involab import rzk
+
+    def fail(C):
+        raise error("planted")
+
+    monkeypatch.setattr(rzk, "surface_report", fail)
+    assert run(capsys, "rzk", "--m", "5") == (code, "", "error: planted\n")
+
+
+def test_any_other_exception_escapes_main(capsys, monkeypatch):
+    from involab import rzk
+
+    def fail(C):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(rzk, "surface_report", fail)
+    with pytest.raises(TypeError, match="^planted$"):
+        main(["rzk", "--m", "5"])
+    assert capsys.readouterr().out == ""
 
 
 def test_consecutive_calls_share_no_state(capsys):

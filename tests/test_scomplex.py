@@ -116,6 +116,21 @@ def test_a_bool_m_counts_as_an_int():
     assert from_facets(False, []) == SimplicialComplex(0)
 
 
+@pytest.mark.parametrize("bad,shown", [(1.5, "1.5"), (2.0, "2.0"), ("1", "'1'")])
+def test_a_non_int_face_mask_or_vertex_is_refused(bad, shown):
+    with pytest.raises(ValidationError, match=rf"^face mask {re.escape(shown)} is not an int$"):
+        SimplicialComplex(3, [1, bad])
+    with pytest.raises(ValidationError, match=rf"^vertex {re.escape(shown)} is not an int$"):
+        from_facets(3, [[1, 2], [3, bad]])
+    with pytest.raises(ValidationError, match=rf"^vertex {re.escape(shown)} is not an int$"):
+        mask_of([bad], 3)
+
+
+def test_a_bool_face_mask_or_vertex_counts_as_an_int():
+    assert SimplicialComplex(3, [True]).faces == frozenset({0, 1})
+    assert from_facets(3, [[True, 2]]) == from_facets(3, [[1, 2]])
+
+
 def test_empty_complex_has_empty_face():
     K = SimplicialComplex(3)
     assert 0 in K.faces
