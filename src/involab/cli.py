@@ -12,6 +12,8 @@ else the error type's ``exit_code``: 2 invalid input, 3 a resource cap
 was exceeded, 4 two derivations of one answer disagreed (CrossCheckError,
 a bug). Every cap is a fixed module constant, checked before the
 allocation it guards; no flag or environment variable moves one.
+``figure`` writes each row as it is made, so a CrossCheckError in the
+middle of a table leaves the rows before it written.
 
 Each command imports the modules it runs when it runs; this module
 imports none but ``errors``. So only ``f`` and ``figure`` load ``fgenus``,
@@ -109,14 +111,13 @@ def cmd_figure(args: argparse.Namespace) -> None:
     # rows are always computed serially
     if args.threads < 1:
         raise ValidationError(f"--threads must be positive, got {args.threads}")
-    rows = fgenus.figure1_data(args.gmax)
-    text = fgenus.figure_csv(rows)
+    lines = fgenus.figure_lines(fgenus.figure_rows(args.gmax))  # checks gmax before --out opens
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}")
 

@@ -30,7 +30,11 @@ from typing import NamedTuple, Sequence
 from . import gf2
 from .errors import CapError, CrossCheckError, ValidationError
 
-MAX_COVER_RANK = 20  # the report's ints are 2^n-sized; Python prints none over 4300 digits
+# build_cover allocates nothing 2^n-sized, and Python prints its report's
+# 2^n-sized counts up to n ~ 14,000; what grows is the time of the transpose
+# and the eliminations, O(n*d) bit steps for d generators (0.21 s at
+# n = 1,000, 2.0 s at n = 3,000 on a 2-vCPU VM). Refuse rank n above this.
+MAX_COVER_RANK = 20
 MAX_GENERATORS = 1 << 16  # the base word is materialized; refuse more generators
 
 

@@ -23,7 +23,9 @@ exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
 in exact integers, never through floats: a ``figure`` row reads its
 bounds, exact value, equality flag and H off one decomposition, and an
 odd-a row builds and checks its cover as ``f_exact`` does but makes no
-certificate. The float64 start of W takes
+certificate. A row's H prints like H(g) to the table's 9 decimals but
+is not H(g) bit for bit: it takes W's float64 start, and H's own route
+only near a 9-decimal rounding boundary. The float64 start of W takes
 Halley steps until one moves it by at most 4e-6 relative, which leaves
 it within about an ulp (the next step is never taken). Below g = 10^26
 (H_FIXED_POINT_BELOW) H takes one Halley step for W from that start in
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .cover import build_cover, presentation
 from .errors import CapError, CrossCheckError, ValidationError
@@ -49,7 +51,7 @@ if TYPE_CHECKING:
     from .cover import CoverComplex
 
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_FIGURE_G = 10**6  # figure1_data refuses gmax above this; a row takes ~0.009-0.012 ms
+MAX_FIGURE_G = 10**6  # figure_rows refuses gmax above this; a row takes ~0.004-0.005 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -396,6 +398,11 @@ def H(g) -> float:
 
 
 class FigureRow(NamedTuple):
+    """One row of the bounds/exact/envelope table. ``H`` prints like H(g)
+    to the table's 9 decimals, but is not H(g) bit for bit: it comes from
+    the float route, and from H's fixed-point route only near a rounding
+    boundary (``_table_H``)."""
+
     g: int
     f_lower: int
     f_upper: int
@@ -404,33 +411,62 @@ class FigureRow(NamedTuple):
     equality: bool
 
 
+_LN2 = math.log(2)
+# Ziv's rounding test (Ziv, ACM TOMS 17(3), 1991): the float route is within
+# 4.5e-16 relative of H's fixed-point route, about 1e-14 below g = 10^6, so a
+# float value farther than this many units of the 9th decimal (1e-12) from a
+# rounding boundary prints H(g)'s 9 decimals; nearer, the row takes H's route
+_TABLE_MARGIN = 1e-3
+
+
+def _table_H(g: int) -> float:
+    """H(g) to the table's 9 decimals: W by the float route, or by H's
+    fixed-point route where the float value lies within _TABLE_MARGIN of
+    a 9-decimal rounding boundary."""
+    h = _float_seed((g - 1) * _LN2 / 2) / _LN2 + 2
+    if abs(h * 1e9 % 1 - 0.5) < _TABLE_MARGIN:
+        return _envelope_fixed(g << _FIX, g)
+    return h
+
+
 def _figure_row(g: int) -> FigureRow:
     """One table row from one decomposition: equality is n == 2 - a, as in H,
     and an odd-a row builds its cover but no certificate."""
     dec = decompose(g)
     n = dec.n
     equality = n == 2 - dec.a
-    envelope = float(n) if equality else _envelope_fixed(g << _FIX, g)
+    envelope = float(n) if equality else _table_H(g)
     if dec.a_even:
         return FigureRow(g, n, n, n, envelope, equality)
     exact = None if _resolver_cover(dec) is None else n
     return FigureRow(g, n - 1, n, exact, envelope, equality)
 
 
-def figure1_data(gmax: int) -> list[FigureRow]:
-    """Rows g = 0..gmax of the bounds/exact/envelope table."""
+def figure_rows(gmax: int) -> Iterator[FigureRow]:
+    """Rows g = 0..gmax of the bounds/exact/envelope table, made as they
+    are read; gmax is checked, and refused above the cap, before that."""
     _check_int("gmax", gmax, 0)
     if gmax > MAX_FIGURE_G:
         raise CapError(f"gmax={gmax} exceeds the figure cap {MAX_FIGURE_G}")
-    return [_figure_row(g) for g in range(gmax + 1)]
+    return map(_figure_row, range(gmax + 1))
 
 
-def figure_csv(rows: list[FigureRow]) -> str:
-    """Render rows as the fixed CSV: floats at 9 decimals, empty cell for
-    an unresolved exact value, lowercase true/false flags."""
-    lines = ["g,f_lower,f_upper,f_exact,H,equality"]
+def figure1_data(gmax: int) -> list[FigureRow]:
+    """Rows g = 0..gmax of the bounds/exact/envelope table, as a list."""
+    return list(figure_rows(gmax))
+
+
+def figure_lines(rows: Iterable[FigureRow]) -> Iterator[str]:
+    """The fixed CSV line by line, each ending in a newline: floats at 9
+    decimals, empty cell for an unresolved exact value, lowercase
+    true/false flags."""
+    yield "g,f_lower,f_upper,f_exact,H,equality\n"
     for g, lower, upper, exact, envelope, equality in rows:
         cell = "" if exact is None else exact
         flag = "true" if equality else "false"
-        lines.append(f"{g},{lower},{upper},{cell},{envelope:.9f},{flag}")
-    return "\n".join(lines) + "\n"
+        yield f"{g},{lower},{upper},{cell},{envelope:.9f},{flag}\n"
+
+
+def figure_csv(rows: Iterable[FigureRow]) -> str:
+    """The whole CSV of ``figure_lines`` as one string."""
+    return "".join(figure_lines(rows))

@@ -22,13 +22,16 @@ MAX_FACES = 1 << 20  # SimplicialComplex refuses masks with more subsets than th
 def mask_of(vertices: Iterable[int], m: int) -> int:
     """Bitmask of a set of 1-based vertices, validated against [1, m]."""
     mask = 0
-    for v in vertices:
-        try:
-            if not 1 <= v <= m:
-                raise ValidationError(f"vertex {v} out of range 1..{m}")
-            mask |= 1 << (v - 1)
-        except TypeError:  # a bool is an int
-            raise ValidationError(f"vertex {v!r} is not an int") from None
+    try:
+        for v in vertices:
+            try:
+                if not 1 <= v <= m:
+                    raise ValidationError(f"vertex {v} out of range 1..{m}")
+                mask |= 1 << (v - 1)
+            except TypeError:  # a bool is an int
+                raise ValidationError(f"vertex {v!r} is not an int") from None
+    except TypeError:  # only the iteration itself is left to raise one
+        raise ValidationError(f"a facet must be iterable, got {vertices!r}") from None
     return mask
 
 
@@ -70,7 +73,10 @@ class SimplicialComplex(_Complex):
             raise ValidationError("m must be nonnegative")
         if m > MAX_VERTICES:
             raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
-        masks = list(faces)
+        try:
+            masks = list(faces)
+        except TypeError:
+            raise ValidationError(f"faces must be iterable, got {faces!r}") from None
         try:
             for f in masks:  # faster than min() and max(); a negative f >> m is -1
                 if f >> m:
@@ -107,7 +113,11 @@ def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex generated by facets as 1-based vertex lists; m is checked before one is read."""
     if not isinstance(m, int) or not 0 <= m <= MAX_VERTICES:
         SimplicialComplex(m)  # raises the constructor's type, sign or cap error
-    return SimplicialComplex(m, [mask_of(f, m) for f in facets])
+    try:
+        masks = [mask_of(f, m) for f in facets]
+    except TypeError:  # mask_of raises no TypeError
+        raise ValidationError(f"facets must be iterable, got {facets!r}") from None
+    return SimplicialComplex(m, masks)
 
 
 def polygon_boundary(m: int) -> SimplicialComplex:

@@ -10,12 +10,13 @@ import io
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from involab import cli
+from involab import cli, fgenus
 from involab.action import MAX_SEARCH_STEPS
 from involab.cli import main
 from involab.cover import parse_phi
@@ -374,6 +375,38 @@ def test_figure_gmax_cap_exits_3_before_any_row(capsys):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "figure cap" in err
+
+
+def test_figure_cap_creates_no_file(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "figure", "--gmax", "10000000000", "--out", str(path))
+    assert code == 3 and out == "" and "figure cap" in err
+    assert not path.exists()
+
+
+def test_figure_unwritable_out_exits_2_before_any_row(capsys, monkeypatch, tmp_path):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(fgenus, "_figure_row", no_row)
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = run(capsys, "figure", "--gmax", "9", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_figure_writes_each_row_as_it_is_made(capsys, tmp_path):
+    """20,001 rows are 0.6 MB of CSV and more as FigureRows; written one at
+    a time they never all live at once."""
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        code = main(["figure", "--gmax", "20000", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.read_text().count("\n") == 20_002
+    assert peak < 3 * 2**20
 
 
 def test_figure_stdout_and_file_agree(capsys, tmp_path):

@@ -722,13 +722,45 @@ def test_figure_refuses_a_gmax_that_is_not_an_int(gmax):
             fn(gmax)
 
 
-def test_figure_H_column_is_H_bit_for_bit():
-    """A row takes H from its own decomposition; that must be H(g) itself,
-    and the figure's genera never reach H's lambert_w route."""
+def test_figure_H_column_prints_H_to_nine_decimals():
+    """A row's H prints H(g)'s 9 decimals and lies within 1e-12 of it,
+    though not always bit for bit; the figure's genera never reach H's
+    lambert_w route."""
     assert MAX_FIGURE_G < fgenus.H_FIXED_POINT_BELOW
     rows = figure1_data(20_000)
-    assert [row.H for row in rows] == [H(row.g) for row in rows]
+    for row in rows:
+        exact = H(row.g)
+        assert f"{row.H:.9f}" == f"{exact:.9f}", row.g
+        assert abs(row.H - exact) <= 1e-12, row.g
     assert [row.g for row in rows if row.equality] == [g for _, g in equality_genera(20_000)]
+
+
+def test_a_figure_row_near_a_rounding_boundary_prints_H():
+    """At g = 896163 the float route's value rounds up at the 9th decimal
+    where H(g) rounds down; the row takes H's own route there."""
+    assert f"{H(896163):.9f}" == "16.878265577"
+    assert f"{_figure_row(896163).H:.9f}" == "16.878265577"
+
+
+def test_a_figure_row_takes_H_s_route_only_near_a_rounding_boundary(monkeypatch):
+    """The fixed-point route runs on exactly the rows whose float value lies
+    within the margin of a 9-decimal boundary, 41 of them up to 20,000,
+    and every other row keeps the float value."""
+    ln2 = math.log(2)
+    floats = {g: fgenus._float_seed((g - 1) * ln2 / 2) / ln2 + 2 for g in range(20_001)}
+    near = {g for g, h in floats.items() if abs(h * 1e9 % 1 - 0.5) < fgenus._TABLE_MARGIN}
+    called = []
+    envelope_fixed = fgenus._envelope_fixed
+
+    def spy(g_fix, g):
+        called.append(g)
+        return envelope_fixed(g_fix, g)
+
+    monkeypatch.setattr(fgenus, "_envelope_fixed", spy)
+    rows = figure1_data(20_000)
+    assert called == sorted(g for g in near if not rows[g].equality)
+    assert len(called) == 41
+    assert all(row.H == floats[row.g] for row in rows if not row.equality and row.g not in near)
 
 
 def test_figure_cap_refuses_before_any_row(monkeypatch):

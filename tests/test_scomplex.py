@@ -126,6 +126,15 @@ def test_a_non_int_face_mask_or_vertex_is_refused(bad, shown):
         mask_of([bad], 3)
 
 
+def test_a_face_set_or_facet_that_is_not_iterable_is_refused():
+    with pytest.raises(ValidationError, match="^faces must be iterable, got 5$"):
+        SimplicialComplex(3, 5)
+    with pytest.raises(ValidationError, match="^facets must be iterable, got 5$"):
+        from_facets(3, 5)
+    with pytest.raises(ValidationError, match="^a facet must be iterable, got 5$"):
+        from_facets(3, [5])
+
+
 def test_a_bool_face_mask_or_vertex_counts_as_an_int():
     assert SimplicialComplex(3, [True]).faces == frozenset({0, 1})
     assert from_facets(3, [[True, 2]]) == from_facets(3, [[1, 2]])
