@@ -12,6 +12,10 @@ else the error type's ``exit_code``: 2 invalid input, 3 a resource cap
 was exceeded, 4 two derivations of one answer disagreed (CrossCheckError,
 a bug). Every cap is a fixed module constant, checked before the
 allocation it guards; no flag or environment variable moves one.
+Input files are read one line at a time, so a complex file is refused
+at the line whose facet passes the face cap and a phi file at the row
+past the cover rank cap, and a byte that is not UTF-8 is refused (exit
+2) with its line number when that line is read.
 ``figure`` writes each row as it is made, so a CrossCheckError in the
 middle of a table leaves the rows before it written.
 
@@ -50,10 +54,16 @@ def _load_complex(args: argparse.Namespace) -> SimplicialComplex:
         raise ValidationError("give exactly one of --m and --complex")
     if args.m is not None:
         return scomplex.polygon_boundary(args.m)
+    return _read(args.complex, scomplex.parse_complex)
+
+
+def _read(path: str, parse, *args):
+    """``parse(file, *args)`` on the input file at path, which it reads one line at a time."""
     try:
-        return scomplex.read_complex(args.complex)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {args.complex}: {exc}")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return parse(fh, *args)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}")
 
 
 def cmd_rzk(args: argparse.Namespace) -> None:
@@ -95,12 +105,7 @@ def cmd_f(args: argparse.Namespace) -> None:
 def cmd_cover(args: argparse.Namespace) -> None:
     from . import cover
     base = cover.presentation(args.orientable, args.genus)
-    try:
-        with open(args.phi, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {args.phi}: {exc}")
-    phi = cover.parse_phi(text, base.generator_count)
+    phi = _read(args.phi, cover.parse_phi, base.generator_count)
     built = cover.build_cover(base, phi)
     print(json.dumps(built.to_report()))
 

@@ -25,7 +25,7 @@ echelon form; a disagreement raises instead of returning anything.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .errors import CapError, CrossCheckError, ValidationError
@@ -67,6 +67,8 @@ class SurfacePresentation(NamedTuple):
 
 def presentation(orientable: bool, genus: int) -> SurfacePresentation:
     """Standard presentation; genus 0 has no one-polygon word here."""
+    if not isinstance(genus, int):  # a bool is an int
+        raise ValidationError(f"genus must be an int, got {genus!r}")
     if genus < 1:
         raise ValidationError(f"presentation needs genus >= 1, got {genus}")
     generators = 2 * genus if orientable else genus
@@ -115,8 +117,8 @@ class CoverComplex(NamedTuple):
 def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     """Classify the 2^n-sheeted cover determined by the GF(2) matrix phi.
 
-    Raises ValidationError unless every row of phi fits B's generator
-    columns. Checks on sheet 0's walk, rather than assumes, that the
+    Raises ValidationError unless every row of phi is an int that fits
+    B's generator columns. Checks on sheet 0's walk, rather than assumes, that the
     relator lifts to closed paths crossing every edge twice, and that both
     derivations of components and of orientability (sign propagation, and
     the orientation character in phi's row space) agree (CrossCheckError
@@ -124,9 +126,12 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     """
     d = B.generator_count
     rows = tuple(phi)
-    for r in rows:
-        if r < 0 or r >> d:
-            raise ValidationError(f"phi row {r:#b} does not fit {d} generator columns")
+    try:
+        for r in rows:
+            if r < 0 or r >> d:
+                raise ValidationError(f"phi row {r:#b} does not fit {d} generator columns")
+    except TypeError:  # a bool is an int
+        raise ValidationError(f"phi row {r!r} is not an int") from None
     n = len(rows)
     if n > MAX_COVER_RANK:
         raise CapError(f"cover rank n={n} exceeds the sheet cap {MAX_COVER_RANK} (2^n sheets)")
@@ -201,17 +206,19 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     )
 
 
-def parse_phi(text: str, d: int) -> tuple[int, ...]:
-    """Read a GF(2) matrix: one row per line, d space-separated bits.
+def parse_phi(source: str | Iterable[str], d: int) -> tuple[int, ...]:
+    """Read a GF(2) matrix from a str or an iterable of lines: one row per
+    line, d space-separated bits, in the text format of ``scomplex.records``.
 
-    Blank lines and ``#`` comments are skipped; an empty matrix (n = 0)
-    is allowed and denotes the trivial cover.
+    An empty matrix (n = 0) is allowed and denotes the trivial cover; the
+    row past ``MAX_COVER_RANK`` is refused before another line is read.
     """
+    from .scomplex import records  # here, so that f and figure load no scomplex
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.partition("#")[0].split()
-        if not tokens:
-            continue
+    for lineno, tokens in records(source):
+        if len(rows) == MAX_COVER_RANK:
+            raise CapError(f"line {lineno}: phi has more rows than the sheet cap "
+                           f"{MAX_COVER_RANK} (2^n sheets)")
         if len(tokens) != d:
             raise ValidationError(
                 f"line {lineno}: expected {d} bits, got {len(tokens)}"

@@ -11,7 +11,7 @@ appears in no face (not even as a singleton) is legal.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapError, ValidationError
 
@@ -131,19 +131,45 @@ def polygon_boundary(m: int) -> SimplicialComplex:
     return from_facets(m, ((i, i % m + 1) for i in range(1, m + 1)))
 
 
-def parse_complex(text: str) -> SimplicialComplex:
-    """Read the plain-text complex format.
+def records(source: str | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line of the text format that has a token.
+
+    ``source`` is a str or an iterable of lines, such as a file opened with
+    ``errors="surrogateescape"``, which is read one line at a time. Lines
+    end where ``str.splitlines`` ends them and are numbered from 1, so a
+    file gives the numbers of its decoded text. ``#`` starts a comment and
+    tokens are split at any whitespace. A line holding a lone surrogate,
+    which is how surrogateescape decodes a byte that is not UTF-8, is
+    refused with that byte.
+    """
+    n = 0
+    for chunk in (source,) if isinstance(source, str) else source:
+        for raw in chunk.splitlines():
+            n += 1
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:  # surrogateescape reads byte b as U+DC00 + b
+                    bad = ord(raw[exc.start]) - 0xDC00
+                    what = f"byte 0x{bad:02x}" if 0x80 <= bad <= 0xFF else repr(raw[exc.start])
+                    raise ValidationError(f"line {n}: {what} is not UTF-8") from None
+            tokens = raw.partition("#")[0].split()
+            if tokens:
+                yield n, tokens
+
+
+def parse_complex(source: str | Iterable[str]) -> SimplicialComplex:
+    """Read the plain-text complex format from a str or an iterable of lines.
 
     First data line is m; each further non-empty line is one facet as
-    space-separated 1-based vertex indices. ``#`` starts a comment, blank
-    lines are skipped, surrounding whitespace is ignored. Facet lines are
-    read one at a time, so no line's tokens outlive it.
+    space-separated 1-based vertex indices, read by ``records``. Facet
+    lines are read one at a time and their masks kept in a set, which is
+    refused at the line where it passes ``MAX_FACES``: each mask is a
+    distinct nonempty face, so the constructor would refuse it too.
     """
-    lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw in lines:  # the header; the facet loop goes on from the next line
-        head = raw.partition("#")[0].split()
-        if head:
-            break
+    lines = records(source)
+    for lineno, head in lines:  # the header; the facet loop goes on from the next line
+        break
     else:
         raise ValidationError("empty complex description")
     if len(head) != 1:
@@ -156,22 +182,22 @@ def parse_complex(text: str) -> SimplicialComplex:
         raise ValidationError(f"line {lineno}: m must be nonnegative, got {m}")
     if m > MAX_VERTICES:
         raise CapError(f"line {lineno}: m={m} exceeds the vertex cap {MAX_VERTICES}")
-    facets = []
-    for lineno, raw in lines:
-        tokens = raw.partition("#")[0].split()
-        if not tokens:
-            continue
+    facets = set()
+    for lineno, tokens in lines:
         try:
             verts = [int(t) for t in tokens]
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer vertex") from None
         try:
-            facets.append(mask_of(verts, m))
+            facets.add(mask_of(verts, m))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+        if len(facets) > MAX_FACES:
+            raise CapError(f"line {lineno}: the facets exceed the face cap of {MAX_FACES} faces")
     return SimplicialComplex(m, facets)
 
 
 def read_complex(path: str) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    # the package reads files through cli._read; bench/tracing.py still looks this name up
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_complex(fh)

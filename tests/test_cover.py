@@ -227,6 +227,16 @@ def test_phi_row_must_fit_generators():
         build_cover(TORUS, [-1])
 
 
+def test_a_genus_or_phi_row_that_is_not_an_int_is_refused():
+    for orientable, genus in [(True, 1.5), (False, 2.0), (True, "2")]:
+        with pytest.raises(ValidationError, match=f"^genus must be an int, got {genus!r}$"):
+            presentation(orientable, genus)
+    for row in [1.0, "1"]:
+        with pytest.raises(ValidationError, match=f"^phi row {row!r} is not an int$"):
+            build_cover(RP2, [row])
+    assert build_cover(RP2, [True]) == build_cover(RP2, [1])  # a bool is an int
+
+
 def test_build_cover_raises_when_the_relator_does_not_close():
     # a word crossing its one generator once lifts to an open path
     broken = SurfacePresentation(False, 1, ((0, 1),))
@@ -278,6 +288,18 @@ def test_parse_phi():
         parse_phi("1 0", 3)
     with pytest.raises(ValidationError, match="line 2"):
         parse_phi("1 1\n2 0\n", 2)
+
+
+def test_parse_phi_stops_at_the_row_past_the_rank_cap():
+    def lines():
+        yield "# a comment line is numbered too\n"
+        for _ in range(MAX_COVER_RANK + 1):
+            yield "1\n"
+        raise AssertionError("a line past the cap was read")
+
+    assert parse_phi(["1\n"] * MAX_COVER_RANK, 1) == (1,) * MAX_COVER_RANK
+    with pytest.raises(CapError, match=f"^line {MAX_COVER_RANK + 2}: .*sheet cap {MAX_COVER_RANK}"):
+        parse_phi(lines(), 1)
 
 
 def test_cover_complex_is_frozen():

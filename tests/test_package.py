@@ -61,7 +61,7 @@ def test_import_loads_no_genus_arithmetic():
     pytest.param(["free-rank", "--m", "6", "--witness"],
                  ["scomplex", "rzk", "action", "gf2"], id="free-rank"),
     pytest.param(["cover", "--orientable", "true", "--genus", "2", "--phi", "phi.txt"],
-                 ["cover", "gf2"], id="cover"),
+                 ["cover", "gf2", "scomplex"], id="cover"),
     pytest.param(["f", "--g", "5", "--exact"], ["fgenus", "cover", "gf2"], id="f"),
     pytest.param(["figure", "--gmax", "50"], ["fgenus", "cover", "gf2"], id="figure"),
 ])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from involab import scomplex
 from involab.action import max_free_rank
 from involab.errors import CapError, ValidationError
 from involab.rzk import build, surface_report
@@ -268,6 +269,20 @@ def test_parse_complex_keeps_no_line_past_its_facet():
         tracemalloc.stop()
     assert K == from_facets(3, [[1, 2]])
     assert peak < 12 * 2**20, peak
+
+
+def test_parse_complex_stops_at_the_facet_past_the_face_cap(monkeypatch):
+    """Each facet line's mask is a distinct nonempty face, so the line whose
+    mask passes MAX_FACES distinct ones is refused before another is read."""
+    monkeypatch.setattr(scomplex, "MAX_FACES", 4)
+
+    def lines():
+        yield "5\n"
+        yield from ["1 2\n", "2 1\n", "2 3\n", "1 2 # again\n", "3 4\n", "4 5\n", "1\n"]
+        raise AssertionError("a line past the cap was read")
+
+    with pytest.raises(CapError, match="^line 8: the facets exceed the face cap of 4 faces$"):
+        parse_complex(lines())
 
 
 def test_sizes_that_drive_memory_are_capped_before_allocation():
