@@ -22,7 +22,7 @@ _HOME = {
     "CoverComplex": "cover", "SurfacePresentation": "cover", "build_cover": "cover",
     "presentation": "cover",
     "FValue": "fgenus", "GenusDecomposition": "fgenus", "H": "fgenus", "decompose": "fgenus",
-    "equality_genera": "fgenus", "f_bounds": "fgenus", "f_exact": "fgenus",
+    "equality_genera": "fgenus", "f_exact": "fgenus",
     "figure1_data": "fgenus", "lambert_w": "fgenus", "min_genus": "fgenus",
 }
 

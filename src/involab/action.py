@@ -101,8 +101,9 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
 
 def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
     """True iff every nonidentity element of H moves every point, that is
-    iff no nonzero face of K lies in the span of H."""
-    return not _face_in_span(K, H)
+    iff no nonzero face of K lies in the span of H.generators, reduced
+    here, since a hand-built H may carry any basis."""
+    return not _face_in_span(K, Subgroup.from_generators(H.generators))
 
 
 def lemma_generators(m: int) -> Subgroup:
@@ -114,6 +115,8 @@ def lemma_generators(m: int) -> Subgroup:
     Every nonzero combination has support off the polygon's face set,
     so the subgroup acts freely; is_free_subgroup re-checks regardless.
     """
+    if not isinstance(m, int):  # a bool is an int
+        raise ValidationError(f"m must be an int, got {m!r}")
     if m < 3:
         raise ValidationError(f"lemma generators need m >= 3, got {m}")
     k = m // 2
@@ -239,7 +242,7 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     witness = Subgroup(kernel, kernel)
     if witness.rank != m - r:
         raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")
-    f = _face_in_span(K, witness)
+    f = _face_in_span(K, witness)  # its rows are some of rref's, so reduced
     if f:
         raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")
     return m - r, witness

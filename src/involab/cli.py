@@ -21,8 +21,8 @@ middle of a table leaves the rows before it written.
 
 Each command imports the modules it runs when it runs; this module
 imports none but ``errors``. So only ``f`` and ``figure`` load ``fgenus``,
-and neither loads mpmath, which ``fgenus`` imports only for ``lambert_w``
-and for H on an mpf genus or one from 10^26 on.
+and neither loads mpmath, which ``fgenus`` imports only for ``lambert_w``,
+H's route for an mpf genus or one from 10^26 on.
 """
 
 from __future__ import annotations
@@ -95,11 +95,8 @@ def cmd_f(args: argparse.Namespace) -> None:
     from . import fgenus
     if args.g < 0:
         raise ValidationError(f"--g must be nonnegative, got {args.g}")
-    if args.exact:
-        print(json.dumps(fgenus.f_exact(args.g)._asdict()))
-    else:
-        fv = fgenus.f_bounds(args.g)
-        print(f"{fv.f_lower} {fv.f_upper}")
+    fv = fgenus.f_exact(args.g)
+    print(json.dumps(fv._asdict()) if args.exact else f"{fv.f_lower} {fv.f_upper}")
 
 
 def cmd_cover(args: argparse.Namespace) -> None:
@@ -157,7 +154,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("f", help="bounds or exact value of the maximal free rank")
     p.add_argument("--g", type=int, required=True, help="orientable genus")
-    p.add_argument("--exact", action="store_true", help="run the resolver")
+    p.add_argument("--exact", action="store_true", help="print the full record as JSON")
     p.set_defaults(func=cmd_f)
 
     p = sub.add_parser("cover", help="build a regular (Z/2)^n cover")

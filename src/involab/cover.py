@@ -125,7 +125,10 @@ def build_cover(B: SurfacePresentation, phi: Sequence[int]) -> CoverComplex:
     otherwise).
     """
     d = B.generator_count
-    rows = tuple(phi)
+    try:
+        rows = tuple(phi)
+    except TypeError:
+        raise ValidationError(f"phi must be an iterable of rows, got {phi!r}") from None
     try:
         for r in rows:
             if r < 0 or r >> d:
@@ -214,6 +217,8 @@ def parse_phi(source: str | Iterable[str], d: int) -> tuple[int, ...]:
     row past ``MAX_COVER_RANK`` is refused before another line is read.
     """
     from .scomplex import records  # here, so that f and figure load no scomplex
+    if not isinstance(d, int):  # a bool is an int
+        raise ValidationError(f"d must be an int, got {d!r}")
     rows = []
     for lineno, tokens in records(source):
         if len(rows) == MAX_COVER_RANK:

@@ -11,7 +11,8 @@ n = 2; the sphere takes a = 1, n = 1). The largest n with a free
 and the odd case is settled constructively: f(g) = n iff some GF(2)
 epimorphism from the mod-2 homology of the nonorientable surface of
 genus 2 - a onto (Z/2)^n yields an orientable connected cover, which is
-then built and shipped as a certificate (see the cover module).
+then built and shipped as a certificate (see the cover module); one
+record, ``f_exact``'s, holds both the bounds and the settled value.
 
 The smallest genus carrying a free rank-n action is 1 + 2^(n-1)(n-2);
 inverting that over the reals gives the envelope
@@ -27,13 +28,12 @@ certificate. A row's H prints like H(g) to the table's 9 decimals but
 is not H(g) bit for bit: it takes W's float64 start, and H's own route
 only near a 9-decimal rounding boundary. The float64 start of W takes
 Halley steps until one moves it by at most 4e-6 relative, which leaves
-it within about an ulp (the next step is never taken). Below g = 10^26
-(H_FIXED_POINT_BELOW) H takes one Halley step for W from that start in
-fixed-point Python ints at scale 2^-160, with its own exponential and a
-160-bit ln 2, and rounds to float once; from there on it calls
-lambert_w, which iterates in 40-digit mpmath arithmetic. Only lambert_w,
-and H on a genus that is not an int or float below 10^26 (an mpf, say),
-import mpmath, so ``f`` and ``figure`` never load it.
+it within about an ulp (the next step is never taken). H has two
+routes: an int or float genus below 10^26 (H_FIXED_POINT_BELOW) takes
+one Halley step from that start in fixed-point ints at scale 2^-160,
+with its own exponential and a 160-bit ln 2, rounded to float once;
+every other genus, an mpf or one from 10^26 on, takes lambert_w at 40
+digits, which alone imports mpmath, so ``f`` and ``figure`` never load it.
 """
 
 from __future__ import annotations
@@ -111,14 +111,6 @@ class FValue(NamedTuple):
     certificate: dict | None = None
 
 
-def f_bounds(g: int) -> FValue:
-    """The decomposition bounds alone: [n, n] for even a, [n-1, n] for odd."""
-    dec = decompose(g)
-    if dec.a_even:
-        return FValue(g, dec.n, dec.n, None, False, "formula")
-    return FValue(g, dec.n - 1, dec.n, None, False, "cover-resolver")
-
-
 def _resolver_cover(dec: GenusDecomposition) -> tuple[list[int], CoverComplex] | None:
     """phi's rows w, e_0, ..., e_{n-2} for odd a and the cover they build,
     checked connected, orientable and of genus g; None when the base's
@@ -135,7 +127,7 @@ def _resolver_cover(dec: GenusDecomposition) -> tuple[list[int], CoverComplex] |
 
 
 def f_exact(g: int) -> FValue:
-    """Exact f(g) where affordable.
+    """f(g)'s bounds from ``decompose`` and, where affordable, its value.
 
     Even a: f = n outright. Odd a: phi has the rows w, e_0, ..., e_{n-2}
     over the h = 2 - a generators of the nonorientable base, w = 1...1
@@ -367,13 +359,13 @@ def H(g) -> float:
 
     For integer g of the form 1 + 2^(n-1)(n-2) the value is the integer n
     and is returned exactly: they are the g that ``decompose`` gives
-    n = 2 - a (big-integer detection, no floats involved).
-    Below H_FIXED_POINT_BELOW, W comes from one Halley step in 160-bit
-    fixed point (``_envelope_fixed``), reached without mpmath from an int
-    or float genus's exact ratio num/den (g/1 for an int). Any other
-    genus, and every genus from the cut-off on, is first rounded to
-    mpmath.mpf(g) at 40 digits. From the cut-off on, W comes from
-    lambert_w at 40 digits; below it both give the same floats.
+    n = 2 - a (big-integer detection, no floats involved). Otherwise W
+    takes one of two routes. An int or float genus below
+    H_FIXED_POINT_BELOW takes one Halley step in 160-bit fixed point
+    (``_envelope_fixed``) from its exact ratio num/den, without mpmath.
+    Every other genus, an mpf or one from the cut-off on, is rounded to
+    mpmath.mpf(g) at 40 digits for lambert_w; below the cut-off both
+    routes give the same floats.
     """
     if not 0 <= g < math.inf:  # also refuses nan
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
@@ -387,14 +379,9 @@ def H(g) -> float:
             return _envelope_fixed((num << _FIX) // den, g)
     import mpmath
 
-    gm = mpmath.mpf(g, dps=40)
-    if g < H_FIXED_POINT_BELOW:  # g's message prints at the caller's precision
-        man, exp = gm.man_exp  # g = man * 2^exp >= 0
-        shift = exp + _FIX
-        return _envelope_fixed(man << shift if shift >= 0 else man >> -shift, g)
     ln2 = _mp_constants()[0]
     with mpmath.workdps(40):
-        return float(lambert_w((gm - 1) * ln2 / 2) / ln2 + 2)
+        return float(lambert_w((mpmath.mpf(g) - 1) * ln2 / 2) / ln2 + 2)
 
 
 class FigureRow(NamedTuple):
@@ -465,8 +452,3 @@ def figure_lines(rows: Iterable[FigureRow]) -> Iterator[str]:
         cell = "" if exact is None else exact
         flag = "true" if equality else "false"
         yield f"{g},{lower},{upper},{cell},{envelope:.9f},{flag}\n"
-
-
-def figure_csv(rows: Iterable[FigureRow]) -> str:
-    """The whole CSV of ``figure_lines`` as one string."""
-    return "".join(figure_lines(rows))

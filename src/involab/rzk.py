@@ -116,6 +116,8 @@ def polygon_genus(m: int) -> int:
     Integer for every m >= 3 (the m=3 case is 1 + (3-4) = 0, the sphere),
     and equal to (2 - chi)/2 with chi = 2^(m-2) (4-m).
     """
+    if not isinstance(m, int):  # a bool is an int
+        raise ValidationError(f"m must be an int, got {m!r}")
     if m < 3:
         raise ValidationError(f"polygon genus needs m >= 3, got {m}")
     return 1 + (1 << (m - 3)) * (m - 4)

@@ -126,6 +126,8 @@ def polygon_boundary(m: int) -> SimplicialComplex:
     Needs m >= 3. Face count is 2m + 1 (the empty set, m vertices, m edges).
     For m = 3 this is the full triangle boundary, every pair is an edge.
     """
+    if not isinstance(m, int):  # a bool is an int
+        raise ValidationError(f"m must be an int, got {m!r}")
     if m < 3:
         raise ValidationError(f"a polygon needs at least 3 vertices, got m={m}")
     return from_facets(m, ((i, i % m + 1) for i in range(1, m + 1)))
@@ -140,11 +142,19 @@ def records(source: str | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     file gives the numbers of its decoded text. ``#`` starts a comment and
     tokens are split at any whitespace. A line holding a lone surrogate,
     which is how surrogateescape decodes a byte that is not UTF-8, is
-    refused with that byte.
+    refused with that byte, as is a source or a line that is not text.
     """
+    try:
+        chunks = iter((source,) if isinstance(source, str) else source)
+    except TypeError:
+        raise ValidationError(f"source must be a str or an iterable of lines, got {source!r}") from None
     n = 0
-    for chunk in (source,) if isinstance(source, str) else source:
-        for raw in chunk.splitlines():
+    for chunk in chunks:
+        try:
+            lines = str.splitlines(chunk)
+        except TypeError:
+            raise ValidationError(f"source line {n + 1} must be a str, got {chunk!r}") from None
+        for raw in lines:
             n += 1
             if not raw.isascii():
                 try:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involab import action
+from involab import action, gf2
 from involab.action import (
     MAX_SEARCH_STEPS,
     Subgroup,
@@ -124,6 +124,27 @@ def test_is_free_subgroup_examples():
     assert is_free_subgroup(K, free)
     pinned = Subgroup.from_generators([mask_of([1, 2], 4), mask_of([2, 4], 4)])
     assert not is_free_subgroup(K, pinned)  # {1,2} is an edge of the square
+
+
+def test_is_free_subgroup_reduces_a_hand_built_basis():
+    """A Subgroup built by hand may carry an echelon basis that is not
+    reduced; freeness is still read off the span of its generators."""
+    K = polygon_boundary(4)
+    a, b = mask_of([1, 3], 4), mask_of([3, 4], 4)
+    assert not is_free_subgroup(K, Subgroup((a, b), (a, b)))  # b is an edge of the square
+    rng = random.Random(1)
+    for _ in range(2000):
+        m = rng.randint(3, 6)
+        K = from_facets(m, [rng.sample(range(1, m + 1), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 6))])
+        basis = gf2.rref(rng.randrange(1, 1 << m) for _ in range(rng.randint(1, m)))
+        for i in range(len(basis)):  # add lower-pivot rows: still echelon, not reduced
+            for j in range(i):
+                if rng.random() < 0.5:
+                    basis[i] ^= basis[j]
+        H = Subgroup(tuple(basis), tuple(basis))
+        in_span = any(f and gf2.in_span(f, basis) for f in K.faces)
+        assert is_free_subgroup(K, H) == (not in_span), (K, basis)
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,12 @@ character.
 ``oracle_lambert_w`` and ``oracle_H`` are the frozen form of lambert_w
 and H's 40-digit route: the same Halley loop as mpf expressions under
 ``workdps(40)``, which ``src/`` must keep matching bit for bit, on the
-known defect's genera too. Below 10^26 H runs its own fixed-point Halley step, which
-must give the same floats as the lambert_w route on drawn genera, and
-the same floats or error as ``oracle_envelope_two_exponentials``, the
-route with mpmath's exp_fixed for both exponentials; its int
-exponential must equal exp_fixed bit for bit. The
+known defect's genera too. Below 10^26 H runs its own fixed-point Halley
+step on an int or float genus, which must give the same floats as the
+lambert_w route on drawn genera, and the same floats or error as
+``oracle_envelope_two_exponentials``, the route with mpmath's exp_fixed
+for both exponentials; its int exponential must equal exp_fixed bit for
+bit. The
 equality genera are tied back to the cubical surfaces themselves at
 the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
@@ -42,10 +43,9 @@ from involab.fgenus import (
     _figure_row,
     decompose,
     equality_genera,
-    f_bounds,
     f_exact,
     figure1_data,
-    figure_csv,
+    figure_lines,
     lambert_w,
     min_genus,
 )
@@ -101,7 +101,7 @@ def test_decompose_rejects_negative_genus():
 
 @pytest.mark.parametrize("g", [2.5, 2.0, "2", None])
 def test_decompose_refuses_a_genus_that_is_not_an_int(g):
-    for fn in (decompose, f_bounds, f_exact):
+    for fn in (decompose, f_exact):
         with pytest.raises(ValidationError, match=f"genus must be an int, got {re.escape(repr(g))}"):
             fn(g)
     assert decompose(True) == decompose(1)  # a bool is an int
@@ -109,11 +109,11 @@ def test_decompose_refuses_a_genus_that_is_not_an_int(g):
 
 def test_f_bounds_shape():
     for g in range(200):
-        fv = f_bounds(g)
+        fv = f_exact(g)
         dec = decompose(g)
         assert fv.f_upper == dec.n
         assert fv.f_upper - fv.f_lower == (0 if dec.a_even else 1)
-        assert fv.f_exact is None and not fv.resolved
+        assert fv.f_exact is None or fv.f_lower <= fv.f_exact <= fv.f_upper
 
 
 def test_f_exact_by_formula():
@@ -503,7 +503,9 @@ LOG_UNIFORM_GENERA = st.integers(1, 87).flatmap(
 
 @st.composite
 def mpf_genera(draw) -> mpmath.mpf:
-    """A 60-digit quotient below 10^26, rounded to 136 bits by H."""
+    """A 60-digit quotient below 10^26, rounded to 136 bits by H. H takes
+    lambert_w's route on it, and the two-exponential oracle the
+    fixed-point step, so the two routes are compared on it."""
     q = draw(st.integers(1, 10**20))
     p = draw(st.integers(0, min(10**45, q * fgenus.H_FIXED_POINT_BELOW - 1)))
     with mpmath.workdps(60):
@@ -518,7 +520,6 @@ FIXED_POINT_GENERA = st.one_of(
     st.floats(1, 1e26, exclude_max=True),  # the float 1e26 lies above 10^26
     st.tuples(st.sampled_from(EQUALITY_GENERA), st.sampled_from([-0.5, 0.5]))
     .map(lambda t: t[0] + t[1]).filter(lambda g: g >= 0),
-    mpf_genera(),
 )
 
 
@@ -558,7 +559,7 @@ def oracle_envelope_two_exponentials(g) -> float:
 
 
 @settings(max_examples=400, deadline=None)
-@given(FIXED_POINT_GENERA)
+@given(FIXED_POINT_GENERA | mpf_genera())
 def test_H_matches_the_two_exponential_route_bit_for_bit(g):
     assert outcome(H, g) == outcome(oracle_envelope_two_exponentials, g), g
 
@@ -591,6 +592,8 @@ def test_exp_series_of_a_small_step_is_within_eight_ulps(d):
 
 
 def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
+    """An int or float genus calls lambert_w from the cut-off on, and an
+    mpf genus always, once."""
     calls = []
     lambert = fgenus.lambert_w
 
@@ -600,22 +603,20 @@ def test_H_calls_lambert_w_only_from_the_fixed_point_cut_on(monkeypatch):
 
     monkeypatch.setattr(fgenus, "lambert_w", counting_lambert_w)
     cut = fgenus.H_FIXED_POINT_BELOW
-    for g in [2, 2.5, 0.25, mpmath.mpf(10) ** 20 / 3, 10**25, cut - 1, float(cut - 2**40)]:
+    for g in [2, 2.5, 0.25, 10**25, cut - 1, float(cut - 2**40)]:
         H(g)
     assert calls == []
-    for g in (cut, cut + 1):
+    for g in (cut, cut + 1, mpmath.mpf(10) ** 20 / 3, mpmath.mpf(17)):
         calls.clear()
         H(g)
         assert len(calls) == 1, g
 
 
-@pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1,
-                               mpmath.mpf(10) ** 20 / 3])
+@pytest.mark.parametrize("g", [0.5, 2, 6, 100, 10**6 + 1, 10**20, 0.1 + 10**25, 10**26 - 1])
 def test_H_fixed_point_residual_check_is_live(g, monkeypatch):
     """A float seed 1e-3 off leaves a residual near 1e-10 or more after
     one Halley step, so the check must refuse it, reporting the residual
-    that a second exponential gives to three digits, and an mpf genus at
-    the caller's precision."""
+    that a second exponential gives to three digits."""
     seed = fgenus._float_seed
     monkeypatch.setattr(fgenus, "_float_seed", lambda x: seed(x) + 1e-3)
     with pytest.raises(CrossCheckError, match="Halley step"):
@@ -665,6 +666,14 @@ def test_H_exact_integer_fast_path():
     assert H_by_lambert(17) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_H_of_an_mpf_equality_genus_is_its_rank():
+    """An mpf genus takes lambert_w's route, with no exact-integer test,
+    and still lands on n at every equality genus below 10^26."""
+    assert min_genus(81) < fgenus.H_FIXED_POINT_BELOW < min_genus(82)
+    for n in range(1, 82):
+        assert H(mpmath.mpf(min_genus(n))) == float(n), n
+
+
 def test_H_of_an_integral_float_is_H_of_the_int_bit_for_bit():
     """An integral float takes the int's route: every g <= 5000, and the
     stdout digest's 400 log-spaced genera, all exact floats below 10^26."""
@@ -684,7 +693,7 @@ def test_H_is_monotone_and_dominates_f():
     values = [H(g) for g in range(120)]
     assert all(b > a for a, b in zip(values, values[1:]))
     for g in range(120):
-        assert f_bounds(g).f_upper <= H(g) + 1e-9
+        assert f_exact(g).f_upper <= H(g) + 1e-9
 
 
 def test_H_rejects_negative():
@@ -776,7 +785,7 @@ def test_figure_cap_refuses_before_any_row(monkeypatch):
 
 
 def test_figure_csv_frozen():
-    assert figure_csv(figure1_data(9)) == (
+    assert "".join(figure_lines(figure1_data(9))) == (
         "g,f_lower,f_upper,f_exact,H,equality\n"
         "0,0,1,1,1.000000000,true\n"
         "1,2,2,2,2.000000000,true\n"
@@ -792,7 +801,7 @@ def test_figure_csv_frozen():
 
 
 def test_figure_csv_leaves_unresolved_cell_empty():
-    line18 = figure_csv(figure1_data(18)).splitlines()[19]
+    line18 = "".join(figure_lines(figure1_data(18))).splitlines()[19]
     assert line18.startswith("18,0,1,,")
     assert line18.endswith(",false")
 

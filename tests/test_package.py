@@ -110,7 +110,7 @@ def test_star_import_binds_every_name_in_all():
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(set(involab.__all__)) == len(involab.__all__) == 30
+    assert len(set(involab.__all__)) == len(involab.__all__) == 29
     for name in involab.__all__:
         obj = getattr(involab, name)
         assert obj.__module__.startswith("involab.")
@@ -121,7 +121,7 @@ def test_every_public_name_is_its_modules_object():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         involab.no_such_name
-    assert not hasattr(involab, "figure_csv")  # fgenus keeps its other names
+    assert not hasattr(involab, "figure_lines")  # fgenus keeps its other names
 
 
 VALUES = [

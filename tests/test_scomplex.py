@@ -6,9 +6,10 @@ import tracemalloc
 import pytest
 
 from involab import scomplex
-from involab.action import max_free_rank
+from involab.action import lemma_generators, max_free_rank
+from involab.cover import build_cover, parse_phi, presentation
 from involab.errors import CapError, ValidationError
-from involab.rzk import build, surface_report
+from involab.rzk import build, polygon_genus, surface_report
 from involab.scomplex import (
     MAX_FACES,
     MAX_VERTICES,
@@ -134,6 +135,26 @@ def test_a_face_set_or_facet_that_is_not_iterable_is_refused():
         from_facets(3, 5)
     with pytest.raises(ValidationError, match="^a facet must be iterable, got 5$"):
         from_facets(3, [5])
+
+
+WRONG_TYPES = {
+    "parse_complex(5)": (parse_complex, (5,), "source must be a str or an iterable of lines, got 5"),
+    "parse_phi(5, 2)": (parse_phi, (5, 2), "source must be a str or an iterable of lines, got 5"),
+    "parse_complex([b'3'])": (parse_complex, ([b"3\n"],), r"source line 1 must be a str, got b'3\\n'"),
+    "parse_complex(['3', None])": (parse_complex, (["3\n", None],), "source line 2 must be a str, got None"),
+    "parse_phi('1 0', 2.0)": (parse_phi, ("1 0", 2.0), "d must be an int, got 2.0"),
+    "build_cover(B, 5)": (build_cover, (presentation(True, 1), 5), "phi must be an iterable of rows, got 5"),
+    "polygon_boundary(3.5)": (polygon_boundary, (3.5,), "m must be an int, got 3.5"),
+    "polygon_boundary('5')": (polygon_boundary, ("5",), "m must be an int, got '5'"),
+    "lemma_generators(5.0)": (lemma_generators, (5.0,), "m must be an int, got 5.0"),
+    "polygon_genus(5.0)": (polygon_genus, (5.0,), "m must be an int, got 5.0"),
+}
+
+
+@pytest.mark.parametrize("fn,args,message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_an_argument_of_the_wrong_type_is_a_validation_error(fn, args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        fn(*args)
 
 
 def test_a_bool_face_mask_or_vertex_counts_as_an_int():
