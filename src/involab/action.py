@@ -49,16 +49,30 @@ from .scomplex import SimplicialComplex, mask_of, vertices_of
 MAX_SEARCH_STEPS = 6_000_000
 
 
-class Subgroup(NamedTuple):
-    """A subgroup of (Z/2)^m given by independent generators.
-
-    ``generators`` is whatever the caller supplied (order preserved);
-    ``basis`` is the canonical reduced echelon basis of the same span,
-    pivots (highest set bits) strictly increasing. rank == len(basis).
-    """
-
+class _SubgroupFields(NamedTuple):
     generators: tuple[int, ...]
     basis: tuple[int, ...]
+
+
+class Subgroup(_SubgroupFields):
+    """A subgroup of (Z/2)^m given by generators.
+
+    ``generators`` is whatever the caller supplied (order preserved);
+    ``basis`` is derived from them, the canonical reduced echelon basis of
+    their span, pivots (highest set bits) strictly increasing, so
+    rank == len(basis). A basis passed in must be that one, or the
+    constructor raises ValidationError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, generators: Iterable[int], basis: Iterable[int] | None = None) -> "Subgroup":
+        gens = tuple(generators)
+        reduced = tuple(gf2.rref(gens))
+        if basis is not None and (basis := tuple(basis)) != reduced:
+            raise ValidationError(f"basis {basis} is not {reduced}, the reduced echelon "
+                                  f"basis of the span of the generators {gens}")
+        return super().__new__(cls, gens, reduced)
 
     @property
     def rank(self) -> int:
@@ -66,11 +80,6 @@ class Subgroup(NamedTuple):
 
     def basis_vertex_lists(self) -> list[list[int]]:
         return [list(vertices_of(b)) for b in self.basis]
-
-    @staticmethod
-    def from_generators(generators: Iterable[int]) -> "Subgroup":
-        gens = tuple(generators)
-        return Subgroup(gens, tuple(gf2.rref(gens)))
 
 
 def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
@@ -101,9 +110,8 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
 
 def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
     """True iff every nonidentity element of H moves every point, that is
-    iff no nonzero face of K lies in the span of H.generators, reduced
-    here, since a hand-built H may carry any basis."""
-    return not _face_in_span(K, Subgroup.from_generators(H.generators))
+    iff no nonzero face of K lies in the span of H."""
+    return not _face_in_span(K, H)
 
 
 def lemma_generators(m: int) -> Subgroup:
@@ -125,7 +133,7 @@ def lemma_generators(m: int) -> Subgroup:
     supports += [[2 * i, 2 * i + 2] for i in range(1, k)]
     if m % 2:
         supports.append([1, 2 * k, 2 * k + 1])
-    return Subgroup.from_generators(mask_of(s, m) for s in supports)
+    return Subgroup(mask_of(s, m) for s in supports)
 
 
 def orientation_sign(C: CubicalSurface, g: int) -> int:
@@ -239,10 +247,10 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     r, colouring = _colouring(K)
     rows = gf2.rref(w << m | 1 << v for v, w in enumerate(colouring))
     kernel = tuple(b for b in rows if not b >> m)
-    witness = Subgroup(kernel, kernel)
+    witness = Subgroup._make((kernel, kernel))  # some of rref's rows: their own reduced basis
     if witness.rank != m - r:
         raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")
-    f = _face_in_span(K, witness)  # its rows are some of rref's, so reduced
+    f = _face_in_span(K, witness)
     if f:
         raise CrossCheckError(f"the free-rank witness fixes the face {vertices_of(f)}")
     return m - r, witness

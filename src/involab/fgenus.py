@@ -25,12 +25,15 @@ in exact integers, never through floats: a ``figure`` row reads its
 bounds, exact value, equality flag and H off one decomposition, and an
 odd-a row builds and checks its cover as ``f_exact`` does but makes no
 certificate. A row's H prints like H(g) to the table's 9 decimals but
-is not H(g) bit for bit: it takes W's float64 start, and H's own route
-only near a 9-decimal rounding boundary. The float64 start of W takes
-Halley steps until one moves it by at most 4e-6 relative, which leaves
-it within about an ulp (the next step is never taken). H has two
+is not H(g) bit for bit: it takes W in float64, and H's own route only
+near a 9-decimal rounding boundary. The float64 W takes Halley steps
+until one moves it by at most 4e-6 relative, which leaves it within
+about an ulp (the next step is never taken). A table carries W from row
+to row, starting each row at the previous W moved along its slope, so
+each row from g = 173 on takes one step, and it builds each quotient
+base once; nothing is carried from one table to the next. H has two
 routes: an int or float genus below 10^26 (H_FIXED_POINT_BELOW) takes
-one Halley step from that start in fixed-point ints at scale 2^-160,
+one Halley step from the cold float64 W in fixed-point ints at scale 2^-160,
 with its own exponential and a 160-bit ln 2, rounded to float once;
 every other genus, an mpf or one from 10^26 on, takes lambert_w at 40
 digits, which alone imports mpmath, so ``f`` and ``figure`` never load it.
@@ -48,10 +51,10 @@ from .errors import CapError, CrossCheckError, ValidationError
 if TYPE_CHECKING:
     import mpmath
 
-    from .cover import CoverComplex
+    from .cover import CoverComplex, SurfacePresentation
 
 MAX_QUOTIENT_RANK = 16  # the resolver builds no base of nonorientable genus 2 - a above this
-MAX_FIGURE_G = 10**6  # figure_rows refuses gmax above this; a row takes ~0.004-0.005 ms
+MAX_FIGURE_G = 10**6  # figure_rows refuses gmax above this; a row takes ~0.004 ms
 
 
 class GenusDecomposition(NamedTuple):
@@ -111,14 +114,18 @@ class FValue(NamedTuple):
     certificate: dict | None = None
 
 
-def _resolver_cover(dec: GenusDecomposition) -> tuple[list[int], CoverComplex] | None:
+def _resolver_cover(dec: GenusDecomposition, bases: dict[int, SurfacePresentation]
+                    ) -> tuple[list[int], CoverComplex] | None:
     """phi's rows w, e_0, ..., e_{n-2} for odd a and the cover they build,
     checked connected, orientable and of genus g; None when the base's
-    genus h = 2 - a is above MAX_QUOTIENT_RANK."""
+    genus h = 2 - a is above MAX_QUOTIENT_RANK. The base is bases[h],
+    built and added there if missing."""
     h = 2 - dec.a
     if h > MAX_QUOTIENT_RANK:
         return None
-    base = presentation(False, h)
+    base = bases.get(h)
+    if base is None:
+        base = bases[h] = presentation(False, h)
     rows = [base.orientation_character] + [1 << i for i in range(dec.n - 1)]
     cc = build_cover(base, rows)
     if not (cc.components == 1 and cc.orientable and cc.genus == dec.g):
@@ -143,7 +150,7 @@ def f_exact(g: int) -> FValue:
     n = dec.n
     if dec.a_even:
         return FValue(g, n, n, n, True, "formula")
-    built = _resolver_cover(dec)
+    built = _resolver_cover(dec, {})
     if built is None:
         return FValue(g, n - 1, n, None, False, "cover-resolver")
     rows, cc = built
@@ -182,27 +189,29 @@ _SEED_STEPS = 6  # at most; 1-3 away from the branch
 _SEED_SETTLED = 4e-6  # a relative step this small leaves the next one below an ulp
 
 
-def _float_seed(x: float) -> float:
+def _float_seed(x: float, w: float | None = None) -> float:
     """W(x) to about one ulp in float64, the start of lambert_w.
 
-    Starts from the branch-point series -1 + p - p^2/3 + 11 p^3/72 with
-    p = sqrt(2(e x + 1)) below -0.27, from ln(1+x) up to 3, and from
-    L1 - L2 + L2/L1 with L1 = ln x, L2 = ln L1 above (Corless et al.,
-    "On the Lambert W function", 1996), then takes Halley steps in
-    floats until one moves W by at most _SEED_SETTLED relative. Halley
-    triples the correct digits, so the step after that one would move W
-    by less than an ulp, and it is not taken: from -0.27 on the result
-    is within 4e-16 relative of W, and most starts take 2 steps.
+    Starts from w when given, else from the branch-point series
+    -1 + p - p^2/3 + 11 p^3/72 with p = sqrt(2(e x + 1)) below -0.27,
+    from ln(1+x) up to 3, and from L1 - L2 + L2/L1 with L1 = ln x,
+    L2 = ln L1 above (Corless et al., "On the Lambert W function", 1996),
+    then takes Halley steps in floats until one moves W by at most
+    _SEED_SETTLED relative. Halley triples the correct digits, so the
+    step after that one would move W by less than an ulp, and it is not
+    taken: from -0.27 on the result is within 4e-16 relative of W, and
+    most cold starts take 2 steps; a start within 4e-6 takes 1.
     """
-    if x < _BRANCH_SERIES_CUT:
-        p = math.sqrt(2 * (math.e * x + 1))
-        w = -1 + p - p * p / 3 + 11 * p**3 / 72
-    elif x < 3:
-        w = math.log1p(x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
+    if w is None:
+        if x < _BRANCH_SERIES_CUT:
+            p = math.sqrt(2 * (math.e * x + 1))
+            w = -1 + p - p * p / 3 + 11 * p**3 / 72
+        elif x < 3:
+            w = math.log1p(x)
+        else:
+            l1 = math.log(x)
+            l2 = math.log(l1)
+            w = l1 - l2 + l2 / l1
     for _ in range(_SEED_STEPS):
         ew = math.exp(w)
         f = w * ew - x
@@ -387,8 +396,9 @@ def H(g) -> float:
 class FigureRow(NamedTuple):
     """One row of the bounds/exact/envelope table. ``H`` prints like H(g)
     to the table's 9 decimals, but is not H(g) bit for bit: it comes from
-    the float route, and from H's fixed-point route only near a rounding
-    boundary (``_table_H``)."""
+    the float route, whose W starts from the previous row's in a table,
+    and from H's fixed-point route only near a rounding boundary
+    (``_table_H``)."""
 
     g: int
     f_lower: int
@@ -399,34 +409,55 @@ class FigureRow(NamedTuple):
 
 
 _LN2 = math.log(2)
-# Ziv's rounding test (Ziv, ACM TOMS 17(3), 1991): the float route is within
-# 4.5e-16 relative of H's fixed-point route, about 1e-14 below g = 10^6, so a
+# Ziv's rounding test (Ziv, ACM TOMS 17(3), 1991): below g = 10^6 the float
+# route is within 4.5e-16 relative of H's fixed-point route from a cold start,
+# and 2.6e-16 with W carried from row to row, under 1e-14 either way, so a
 # float value farther than this many units of the 9th decimal (1e-12) from a
 # rounding boundary prints H(g)'s 9 decimals; nearer, the row takes H's route
 _TABLE_MARGIN = 1e-3
 
 
-def _table_H(g: int) -> float:
-    """H(g) to the table's 9 decimals: W by the float route, or by H's
-    fixed-point route where the float value lies within _TABLE_MARGIN of
-    a 9-decimal rounding boundary."""
-    h = _float_seed((g - 1) * _LN2 / 2) / _LN2 + 2
+def _table_H(g: int, start: float | None = None) -> float:
+    """H(g) to the table's 9 decimals: W by ``_float_seed``'s Halley steps
+    from start, or from its cold start when start is None, or by H's
+    fixed-point route where that float value lies within _TABLE_MARGIN of
+    a 9-decimal rounding boundary. A start within 4e-6 relative of W takes
+    one step."""
+    h = _float_seed((g - 1) * _LN2 / 2, start) / _LN2 + 2
     if abs(h * 1e9 % 1 - 0.5) < _TABLE_MARGIN:
         return _envelope_fixed(g << _FIX, g)
     return h
 
 
-def _figure_row(g: int) -> FigureRow:
+def _figure_row(g: int, start: float | None = None,
+                bases: dict[int, SurfacePresentation] | None = None) -> FigureRow:
     """One table row from one decomposition: equality is n == 2 - a, as in H,
-    and an odd-a row builds its cover but no certificate."""
+    and an odd-a row builds its cover but no certificate. W starts from
+    start where given, and the quotient bases are read from and added to
+    bases."""
     dec = decompose(g)
     n = dec.n
     equality = n == 2 - dec.a
-    envelope = float(n) if equality else _table_H(g)
+    envelope = float(n) if equality else _table_H(g, start)
     if dec.a_even:
         return FigureRow(g, n, n, n, envelope, equality)
-    exact = None if _resolver_cover(dec) is None else n
+    exact = None if _resolver_cover(dec, {} if bases is None else bases) is None else n
     return FigureRow(g, n - 1, n, exact, envelope, equality)
+
+
+def _table(gmax: int) -> Iterator[FigureRow]:
+    """Rows g = 0..gmax, W carried from row to row: row g + 1 starts W at
+    W(x) + W'(x) ln2/2, where x = (g-1) ln2/2, W'(x) = W/(x (1 + W)) and W
+    is (H - 2) ln2 of row g, exact on an equality row. Rows 0 to 2 start
+    cold, since x = 0 at g = 1. One quotient base per h serves the table."""
+    bases: dict[int, SurfacePresentation] = {}
+    start = None
+    for g in range(gmax + 1):
+        row = _figure_row(g, start, bases)
+        yield row
+        if g > 1:
+            w = (row.H - 2) * _LN2
+            start = w + w / ((g - 1) * (1 + w))
 
 
 def figure_rows(gmax: int) -> Iterator[FigureRow]:
@@ -435,7 +466,7 @@ def figure_rows(gmax: int) -> Iterator[FigureRow]:
     _check_int("gmax", gmax, 0)
     if gmax > MAX_FIGURE_G:
         raise CapError(f"gmax={gmax} exceeds the figure cap {MAX_FIGURE_G}")
-    return map(_figure_row, range(gmax + 1))
+    return _table(gmax)
 
 
 def figure1_data(gmax: int) -> list[FigureRow]:

@@ -104,7 +104,7 @@ def test_has_fixed_point_agrees_with_cell_scan(K):
 
 def test_subgroup_rref_basis():
     gens = [mask_of(v, 6) for v in ([1, 3], [3, 5], [2, 4], [4, 6])]
-    H = Subgroup.from_generators(gens)
+    H = Subgroup(gens)
     assert H.rank == 4
     assert [vertices_of(g) for g in H.generators] == [
         (1, 3), (3, 5), (2, 4), (4, 6),
@@ -120,31 +120,48 @@ def test_subgroup_rref_basis():
 
 def test_is_free_subgroup_examples():
     K = polygon_boundary(4)
-    free = Subgroup.from_generators([mask_of([1, 3], 4), mask_of([2, 4], 4)])
+    free = Subgroup([mask_of([1, 3], 4), mask_of([2, 4], 4)])
     assert is_free_subgroup(K, free)
-    pinned = Subgroup.from_generators([mask_of([1, 2], 4), mask_of([2, 4], 4)])
+    pinned = Subgroup([mask_of([1, 2], 4), mask_of([2, 4], 4)])
     assert not is_free_subgroup(K, pinned)  # {1,2} is an edge of the square
 
 
 def test_is_free_subgroup_reduces_a_hand_built_basis():
-    """A Subgroup built by hand may carry an echelon basis that is not
-    reduced; freeness is still read off the span of its generators."""
+    """Generators whose echelon basis is not reduced get the reduced one,
+    and freeness is read off it; passed in as the basis, the unreduced
+    rows are refused."""
     K = polygon_boundary(4)
     a, b = mask_of([1, 3], 4), mask_of([3, 4], 4)
-    assert not is_free_subgroup(K, Subgroup((a, b), (a, b)))  # b is an edge of the square
+    assert not is_free_subgroup(K, Subgroup((a, b)))  # b is an edge of the square
     rng = random.Random(1)
     for _ in range(2000):
         m = rng.randint(3, 6)
         K = from_facets(m, [rng.sample(range(1, m + 1), rng.randint(1, 3))
                             for _ in range(rng.randint(1, 6))])
         basis = gf2.rref(rng.randrange(1, 1 << m) for _ in range(rng.randint(1, m)))
+        reduced = tuple(basis)
         for i in range(len(basis)):  # add lower-pivot rows: still echelon, not reduced
             for j in range(i):
                 if rng.random() < 0.5:
                     basis[i] ^= basis[j]
-        H = Subgroup(tuple(basis), tuple(basis))
+        H = Subgroup(basis)
+        assert H.basis == reduced
+        if tuple(basis) != reduced:
+            with pytest.raises(ValidationError, match="reduced echelon basis"):
+                Subgroup(basis, basis)
         in_span = any(f and gf2.in_span(f, basis) for f in K.faces)
         assert is_free_subgroup(K, H) == (not in_span), (K, basis)
+
+
+def test_a_subgroup_reports_the_span_of_its_generators():
+    """The basis, and so the rank and the vertex lists, come from the
+    generators; a hand-built basis that differs is refused."""
+    assert Subgroup((3, 3)) == ((3, 3), (3,)) and Subgroup((3, 3)).rank == 1
+    assert Subgroup((0b101,)).basis_vertex_lists() == [[1, 3]]
+    assert Subgroup((0b110, 0b11), (0b11, 0b101)).basis == (0b11, 0b101)
+    for generators, basis in [((3, 3), (3, 3)), ((0b101,), (0b11,)), ((0b11,), ())]:
+        with pytest.raises(ValidationError, match="reduced echelon basis"):
+            Subgroup(generators, basis)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +270,7 @@ def test_max_free_rank_matches_exhaustive_search_on_random_complexes(K):
 def test_cross_check_free_rejects_a_face_in_the_span(monkeypatch):
     # neither generator is a face, but their sum {2,3,4} is the facet
     K = from_facets(4, [[2, 3, 4]])
-    H = Subgroup.from_generators(mask_of(s, 4) for s in ([1, 2], [1, 3, 4]))
+    H = Subgroup(mask_of(s, 4) for s in ([1, 2], [1, 3, 4]))
     assert not any(b in K.faces for b in H.basis)
     assert not is_free_subgroup(K, H)
     # a faulty colouring onto GF(2)^2 whose kernel is H: vertices 1 and 2

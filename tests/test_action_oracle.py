@@ -243,7 +243,7 @@ def test_freeness_agrees_with_the_span_walk(kind):
     for _ in range(KINDS[kind]):
         K = _random_complex(kind, rng)
         gens = [rng.randrange(1, 1 << K.m) for _ in range(rng.randint(1, K.m))]
-        H = Subgroup.from_generators(gens)
+        H = Subgroup(gens)
         verdict = is_free_subgroup(K, H)
         assert verdict == oracle_is_free_subgroup(K, H), (kind, K, gens)
         verdicts.add(verdict)
@@ -350,7 +350,7 @@ def test_syndromes_find_the_face_that_the_basis_reduction_finds(K, data):
     # generators reach two bits past K's vertices, so some basis rows have
     # their pivot outside the vertex range
     vectors = st.integers(0, (1 << K.m + 2) - 1)
-    H = Subgroup.from_generators(data.draw(st.lists(vectors, max_size=K.m + 2)))
+    H = Subgroup(data.draw(st.lists(vectors, max_size=K.m + 2)))
     assert action._face_in_span(K, H) == oracle_face_in_span(K, H)
 
 
@@ -359,7 +359,7 @@ def test_syndromes_find_the_face_that_the_basis_reduction_finds(K, data):
     ([0b0011, 0b10_0101], 0b0011),  # the edge {1, 2} beside a row with pivot 5
 ])
 def test_syndromes_take_basis_rows_outside_the_vertex_range(generators, face):
-    K, H = polygon_boundary(4), Subgroup.from_generators(generators)
+    K, H = polygon_boundary(4), Subgroup(generators)
     assert action._face_in_span(K, H) == oracle_face_in_span(K, H) == face
 
 

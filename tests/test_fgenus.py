@@ -20,6 +20,7 @@ the end: the polygon surface over m = n + 2 vertices realizes rank n
 at exactly the predicted genus.
 """
 
+import hashlib
 import math
 import re
 import sys
@@ -46,6 +47,7 @@ from involab.fgenus import (
     f_exact,
     figure1_data,
     figure_lines,
+    figure_rows,
     lambert_w,
     min_genus,
 )
@@ -222,11 +224,16 @@ def test_a_figure_row_builds_its_cover_but_no_certificate(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fgenus, "build_cover", counted("build_cover", fgenus.build_cover))
+    monkeypatch.setattr(fgenus, "presentation", counted("presentation", fgenus.presentation))
     monkeypatch.setattr(CoverComplex, "to_report", counted("to_report", CoverComplex.to_report))
     rows = figure1_data(300)
     resolved = [r.g for r in rows if r.f_exact is not None and r.f_lower < r.f_upper]
     assert len(resolved) == 37
-    assert calls == {"build_cover": 37}
+    bases = {2 - decompose(g).a for g in resolved}
+    assert len(bases) == 8  # one quotient base per h in a table, built anew for each table
+    assert calls == {"build_cover": 37, "presentation": 8}
+    figure1_data(300)
+    assert calls == {"build_cover": 74, "presentation": 16}
 
 
 def test_resolver_budgets(monkeypatch):
@@ -754,10 +761,10 @@ def test_a_figure_row_near_a_rounding_boundary_prints_H():
 def test_a_figure_row_takes_H_s_route_only_near_a_rounding_boundary(monkeypatch):
     """The fixed-point route runs on exactly the rows whose float value lies
     within the margin of a 9-decimal boundary, 41 of them up to 20,000,
-    and every other row keeps the float value."""
-    ln2 = math.log(2)
-    floats = {g: fgenus._float_seed((g - 1) * ln2 / 2) / ln2 + 2 for g in range(20_001)}
-    near = {g for g, h in floats.items() if abs(h * 1e9 % 1 - 0.5) < fgenus._TABLE_MARGIN}
+    and every other row keeps the float value. Rows 0 to 2 start W cold,
+    and row g from the previous row's W = (H - 2) ln2 moved by its slope;
+    W lies within 4e-16 relative of the cold start's, and no row lies on
+    the other side of the margin from the cold start's value."""
     called = []
     envelope_fixed = fgenus._envelope_fixed
 
@@ -767,9 +774,64 @@ def test_a_figure_row_takes_H_s_route_only_near_a_rounding_boundary(monkeypatch)
 
     monkeypatch.setattr(fgenus, "_envelope_fixed", spy)
     rows = figure1_data(20_000)
-    assert called == sorted(g for g in near if not rows[g].equality)
+
+    def near(h):
+        return abs(h * 1e9 % 1 - 0.5) < fgenus._TABLE_MARGIN
+
+    ln2 = math.log(2)
+    floats = {}
+    for g in range(20_001):
+        x = (g - 1) * ln2 / 2
+        w = cold = fgenus._float_seed(x)
+        if g > 2:
+            w0 = (rows[g - 1].H - 2) * ln2
+            w = fgenus._float_seed(x, w0 + w0 / ((g - 2) * (1 + w0)))
+        assert abs(w - cold) <= 4e-16 * abs(cold), g
+        assert near(w / ln2 + 2) == near(cold / ln2 + 2), g
+        floats[g] = w / ln2 + 2
+    assert called == [g for g, h in floats.items() if near(h) and not rows[g].equality]
     assert len(called) == 41
-    assert all(row.H == floats[row.g] for row in rows if not row.equality and row.g not in near)
+    assert all(row.H == floats[row.g] for row in rows if not row.equality and row.g not in called)
+
+
+def test_a_figure_row_takes_one_halley_step_past_g_172(monkeypatch):
+    """One exponential per float Halley step, counted at math.exp while
+    each row is made: at most 3 on any row up to 20,000 (a row near a
+    rounding boundary adds the cold start of H's route), and exactly one
+    on every other non-equality row from g = 173 on, where the start
+    carried from the row before is within _SEED_SETTLED of W."""
+    fixed = []
+    envelope_fixed = fgenus._envelope_fixed
+
+    def spy(g_fix, g):
+        fixed.append(g)
+        return envelope_fixed(g_fix, g)
+
+    monkeypatch.setattr(fgenus, "_envelope_fixed", spy)
+    calls = []
+    exp = math.exp
+
+    def counting_exp(w):
+        calls.append(w)
+        return exp(w)
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    steps = {}
+    for row in figure_rows(20_000):
+        steps[row.g] = len(calls), row.equality
+        calls.clear()
+    assert max(count for count, _ in steps.values()) <= 3
+    more = [g for g, (count, equality) in steps.items()
+            if count != 1 and not equality and g not in fixed]
+    assert len(more) == 167 and max(more) == 172
+
+
+def test_figure_table_to_100000_is_frozen():
+    """Only rows up to 20,000 are compared with H one by one; the digest of
+    the CSV to 10^5 pins every later row's last decimal too."""
+    csv = "".join(figure_lines(figure_rows(100_000)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "2f84b3f62b7e1e0a9b8cf330a6dbe42ad2ff41ed072ea0482b9cdaadbb5b5a92")
 
 
 def test_figure_cap_refuses_before_any_row(monkeypatch):
@@ -780,6 +842,8 @@ def test_figure_cap_refuses_before_any_row(monkeypatch):
     for gmax in (MAX_FIGURE_G + 1, 10**10):
         with pytest.raises(CapError, match="figure cap"):
             figure1_data(gmax)
+        with pytest.raises(CapError, match="figure cap"):
+            figure_rows(gmax)  # before the first row is asked for
     with pytest.raises(AssertionError):
         figure1_data(MAX_FIGURE_G)  # at the cap, rows are computed
 
