@@ -61,18 +61,31 @@ class Subgroup(_SubgroupFields):
     ``basis`` is derived from them, the canonical reduced echelon basis of
     their span, pivots (highest set bits) strictly increasing, so
     rank == len(basis). A basis passed in must be that one, or the
-    constructor raises ValidationError.
+    constructor raises ValidationError, as it does for a generator that is
+    not a nonnegative int. ``_make``, and so ``_replace``, calls the
+    constructor too.
     """
 
     __slots__ = ()
 
     def __new__(cls, generators: Iterable[int], basis: Iterable[int] | None = None) -> "Subgroup":
-        gens = tuple(generators)
-        reduced = tuple(gf2.rref(gens))
+        try:
+            gens = tuple(generators)
+        except TypeError:
+            raise ValidationError(f"generators must be iterable, got {generators!r}") from None
+        try:
+            reduced = tuple(gf2.rref(gens))
+        except (AttributeError, TypeError, ValueError):  # from the first bad generator
+            bad = next(v for v in gens if not isinstance(v, int) or v < 0)
+            raise ValidationError(f"generator {bad!r} is not a nonnegative int") from None
         if basis is not None and (basis := tuple(basis)) != reduced:
             raise ValidationError(f"basis {basis} is not {reduced}, the reduced echelon "
                                   f"basis of the span of the generators {gens}")
         return super().__new__(cls, gens, reduced)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Subgroup":
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -145,6 +158,8 @@ def orientation_sign(C: CubicalSurface, g: int) -> int:
     sign differs by (-1)^|g & ~I| and the frame by (-1)^|g & I|, so the
     sign is (-1)^|g| on every square.
     """
+    if not isinstance(g, int) or g < 0:  # a bool is an int; a negative one has no support
+        raise ValidationError(f"an element must be a nonnegative int, got {g!r}")
     orientability(C)  # raises NotASurfaceError unless C is a closed surface
     return -1 if g.bit_count() % 2 else 1
 
@@ -247,7 +262,9 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     r, colouring = _colouring(K)
     rows = gf2.rref(w << m | 1 << v for v, w in enumerate(colouring))
     kernel = tuple(b for b in rows if not b >> m)
-    witness = Subgroup._make((kernel, kernel))  # some of rref's rows: their own reduced basis
+    # some of rref's rows, so their own reduced basis: built unchecked, since
+    # Subgroup(kernel) would take one more rref for the same basis
+    witness = tuple.__new__(Subgroup, (kernel, kernel))
     if witness.rank != m - r:
         raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")
     f = _face_in_span(K, witness)

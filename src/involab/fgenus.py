@@ -21,22 +21,23 @@ inverting that over the reals gives the envelope
 
 with W the principal Lambert branch, so f(g) <= H(g) with equality
 exactly at the genera 0, 1, 5, 17, 49, ... . Equality detection is done
-in exact integers, never through floats: a ``figure`` row reads its
-bounds, exact value, equality flag and H off one decomposition, and an
-odd-a row builds and checks its cover as ``f_exact`` does but makes no
-certificate. A row's H prints like H(g) to the table's 9 decimals but
-is not H(g) bit for bit: it takes W in float64, and H's own route only
-near a 9-decimal rounding boundary. The float64 W takes Halley steps
-until one moves it by at most 4e-6 relative, which leaves it within
-about an ulp (the next step is never taken). A table carries W from row
-to row, starting each row at the previous W moved along its slope, so
-each row from g = 173 on takes one step, and it builds each quotient
-base once; nothing is carried from one table to the next. H has two
-routes: an int or float genus below 10^26 (H_FIXED_POINT_BELOW) takes
-one Halley step from the cold float64 W in fixed-point ints at scale 2^-160,
-with its own exponential and a 160-bit ln 2, rounded to float once;
-every other genus, an mpf or one from 10^26 on, takes lambert_w at 40
-digits, which alone imports mpmath, so ``f`` and ``figure`` never load it.
+in exact integers, never through floats: one loop makes every ``figure``
+row, reading its bounds, exact value, equality flag and H off one
+decomposition, and an odd-a row builds and checks its cover as
+``f_exact`` does but makes no certificate. A row's H prints like H(g)
+to the table's 9 decimals but is not H(g) bit for bit: it takes W in
+float64, and H's own route only near a 9-decimal rounding boundary. The
+float64 W takes Halley steps until one moves it by at most 4e-6
+relative, which leaves it within about an ulp (the next step is never
+taken). A table carries W from row to row, starting each row at the
+previous W moved along its slope, so each row from g = 173 on takes one
+step, and it builds each quotient base once; nothing is carried from
+one table to the next. H has two routes: an int or float genus below
+10^26 (H_FIXED_POINT_BELOW) takes one Halley step from the cold float64
+W in fixed-point ints at scale 2^-160, with its own exponential and a
+160-bit ln 2, rounded to float once; every other genus, an mpf or one
+from 10^26 on, takes lambert_w at 40 digits, which alone imports
+mpmath, so ``f`` and ``figure`` never load it.
 """
 
 from __future__ import annotations
@@ -251,12 +252,16 @@ def lambert_w(x) -> mpmath.mpf:
     the start is the branch series to p^5 at 40 digits; there 40 digits
     pin W only to about 1e-41 / (1 + W). Stops once the residual is at
     most LAMBERT_TOL; raises CrossCheckError if that takes more than
-    LAMBERT_MAX_STEPS steps, and ValidationError below -1/e, at inf and nan.
+    LAMBERT_MAX_STEPS steps, and ValidationError below -1/e, at inf and nan,
+    and for an x that mpmath.mpf cannot read.
     """
     import mpmath
 
     with mpmath.workdps(40):  # an mpf x prints its 40 digits in the messages
-        xm = mpmath.mpf(x)
+        try:
+            xm = mpmath.mpf(x)
+        except (TypeError, ValueError):
+            raise ValidationError(f"lambert_w needs a real x, got {x!r}") from None
         if not xm < mpmath.inf:  # +inf or nan; -inf fails the branch test below
             raise ValidationError(f"lambert_w needs a finite x, got {x!r}")
         _, branch, slack, tol = _mp_constants()
@@ -374,9 +379,14 @@ def H(g) -> float:
     (``_envelope_fixed``) from its exact ratio num/den, without mpmath.
     Every other genus, an mpf or one from the cut-off on, is rounded to
     mpmath.mpf(g) at 40 digits for lambert_w; below the cut-off both
-    routes give the same floats.
+    routes give the same floats. A genus of any other type, or negative,
+    infinite or nan, raises ValidationError.
     """
-    if not 0 <= g < math.inf:  # also refuses nan
+    try:
+        finite = 0 <= g < math.inf  # False at nan
+    except TypeError:
+        raise ValidationError(f"H needs an int, float or mpf genus, got {g!r}") from None
+    if not finite:
         raise ValidationError(f"H needs a finite g >= 0, got {g!r}")
     if isinstance(g, (int, float)):
         if g == int(g):
@@ -390,7 +400,11 @@ def H(g) -> float:
 
     ln2 = _mp_constants()[0]
     with mpmath.workdps(40):
-        return float(lambert_w((mpmath.mpf(g) - 1) * ln2 / 2) / ln2 + 2)
+        try:
+            gm = mpmath.mpf(g)
+        except TypeError:
+            raise ValidationError(f"H needs an int, float or mpf genus, got {g!r}") from None
+        return float(lambert_w((gm - 1) * ln2 / 2) / ln2 + 2)
 
 
 class FigureRow(NamedTuple):
@@ -398,7 +412,7 @@ class FigureRow(NamedTuple):
     to the table's 9 decimals, but is not H(g) bit for bit: it comes from
     the float route, whose W starts from the previous row's in a table,
     and from H's fixed-point route only near a rounding boundary
-    (``_table_H``)."""
+    (``_table``, which makes every row)."""
 
     g: int
     f_lower: int
@@ -417,46 +431,34 @@ _LN2 = math.log(2)
 _TABLE_MARGIN = 1e-3
 
 
-def _table_H(g: int, start: float | None = None) -> float:
-    """H(g) to the table's 9 decimals: W by ``_float_seed``'s Halley steps
-    from start, or from its cold start when start is None, or by H's
-    fixed-point route where that float value lies within _TABLE_MARGIN of
-    a 9-decimal rounding boundary. A start within 4e-6 relative of W takes
-    one step."""
-    h = _float_seed((g - 1) * _LN2 / 2, start) / _LN2 + 2
-    if abs(h * 1e9 % 1 - 0.5) < _TABLE_MARGIN:
-        return _envelope_fixed(g << _FIX, g)
-    return h
-
-
-def _figure_row(g: int, start: float | None = None,
-                bases: dict[int, SurfacePresentation] | None = None) -> FigureRow:
-    """One table row from one decomposition: equality is n == 2 - a, as in H,
-    and an odd-a row builds its cover but no certificate. W starts from
-    start where given, and the quotient bases are read from and added to
-    bases."""
-    dec = decompose(g)
-    n = dec.n
-    equality = n == 2 - dec.a
-    envelope = float(n) if equality else _table_H(g, start)
-    if dec.a_even:
-        return FigureRow(g, n, n, n, envelope, equality)
-    exact = None if _resolver_cover(dec, {} if bases is None else bases) is None else n
-    return FigureRow(g, n - 1, n, exact, envelope, equality)
-
-
 def _table(gmax: int) -> Iterator[FigureRow]:
-    """Rows g = 0..gmax, W carried from row to row: row g + 1 starts W at
+    """Rows g = 0..gmax, each from one decomposition: equality is n == 2 - a,
+    as in H, and an odd-a row builds its cover, from one quotient base per h
+    for the table, but no certificate. H is W by ``_float_seed``'s Halley
+    steps, or H's fixed-point route where that float value lies within
+    _TABLE_MARGIN of a 9-decimal rounding boundary. Row g + 1 starts W at
     W(x) + W'(x) ln2/2, where x = (g-1) ln2/2, W'(x) = W/(x (1 + W)) and W
-    is (H - 2) ln2 of row g, exact on an equality row. Rows 0 to 2 start
-    cold, since x = 0 at g = 1. One quotient base per h serves the table."""
+    is (H - 2) ln2 of row g, exact on an equality row; a start within 4e-6
+    relative takes one step. Rows 0 to 2 start cold, since x = 0 at g = 1."""
     bases: dict[int, SurfacePresentation] = {}
     start = None
     for g in range(gmax + 1):
-        row = _figure_row(g, start, bases)
-        yield row
+        dec = decompose(g)
+        n = dec.n
+        equality = n == 2 - dec.a
+        if equality:
+            envelope = float(n)
+        else:
+            envelope = _float_seed((g - 1) * _LN2 / 2, start) / _LN2 + 2
+            if abs(envelope * 1e9 % 1 - 0.5) < _TABLE_MARGIN:
+                envelope = _envelope_fixed(g << _FIX, g)
+        if dec.a_even:
+            yield FigureRow(g, n, n, n, envelope, equality)
+        else:
+            exact = None if _resolver_cover(dec, bases) is None else n
+            yield FigureRow(g, n - 1, n, exact, envelope, equality)
         if g > 1:
-            w = (row.H - 2) * _LN2
+            w = (envelope - 2) * _LN2
             start = w + w / ((g - 1) * (1 + w))
 
 

@@ -61,7 +61,8 @@ class SimplicialComplex(_Complex):
     ``MAX_FACES`` subsets in all. That count repeats a subset of two masks,
     so past the cap it is taken again without the masks that lie one
     vertex below another mask: a closed face set then counts its facets'
-    subsets alone. Equality and hashing are structural.
+    subsets alone. Equality and hashing are structural. ``_make``, and so
+    ``_replace``, calls the constructor too.
     """
 
     __slots__ = ()
@@ -102,6 +103,10 @@ class SimplicialComplex(_Complex):
                 closed.add(sub)
                 sub = (sub - 1) & f
         return super().__new__(cls, m, frozenset(closed))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SimplicialComplex:
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

@@ -164,6 +164,18 @@ def test_a_subgroup_reports_the_span_of_its_generators():
             Subgroup(generators, basis)
 
 
+def test_make_and_replace_check_a_subgroup_like_its_constructor():
+    H = Subgroup((3, 5, 6))
+    assert H._replace(generators=(5, 3)) == ((5, 3), (3, 5))
+    assert Subgroup._make(((0b110, 0b11), (0b11, 0b101))) == Subgroup((0b110, 0b11))
+    with pytest.raises(ValidationError, match="reduced echelon basis"):
+        H._replace(generators=(1,))  # the basis (3, 5) is kept, and checked
+    with pytest.raises(ValidationError, match="reduced echelon basis"):
+        Subgroup._make(((3,), (1,)))
+    with pytest.raises(ValidationError, match="^generator 1.5 is not a nonnegative int$"):
+        H._replace(generators=(1.5,))
+
+
 @pytest.mark.parametrize(
     "m,expected",
     [

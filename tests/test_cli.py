@@ -429,7 +429,7 @@ def test_figure_unwritable_out_exits_2_before_any_row(capsys, monkeypatch, tmp_p
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(fgenus, "_figure_row", no_row)
+    monkeypatch.setattr(fgenus, "decompose", no_row)  # every row starts with one
     path = tmp_path / "missing" / "rows.csv"
     code, out, err = run(capsys, "figure", "--gmax", "9", "--out", str(path))
     assert code == 2 and out == ""

@@ -41,7 +41,6 @@ from involab.errors import CapError, CrossCheckError, ValidationError
 from involab.fgenus import (
     MAX_FIGURE_G,
     H,
-    _figure_row,
     decompose,
     equality_genera,
     f_exact,
@@ -208,10 +207,12 @@ def test_figure_rows_agree_with_the_decomposition():
         assert row.equality == (min_genus(dec.n) == row.g)
     above = [g for g in RESOLVED_GENERA if g > 20_000]
     assert len(above) == 6 and max(above) == 212_993
-    for g in above:
-        row, fv = _figure_row(g), f_exact(g)
+    rows = [row for row in figure_rows(212_993) if row.g in above]
+    assert [row.g for row in rows] == sorted(above)
+    for row in rows:
+        fv = f_exact(row.g)
         assert fv.resolved and row[:4] == fv[:4]
-        assert row.equality == (min_genus(fv.f_upper) == g)
+        assert row.equality == (min_genus(fv.f_upper) == row.g)
 
 
 def test_a_figure_row_builds_its_cover_but_no_certificate(monkeypatch):
@@ -752,10 +753,16 @@ def test_figure_H_column_prints_H_to_nine_decimals():
 
 
 def test_a_figure_row_near_a_rounding_boundary_prints_H():
-    """At g = 896163 the float route's value rounds up at the 9th decimal
-    where H(g) rounds down; the row takes H's own route there."""
-    assert f"{H(896163):.9f}" == "16.878265577"
-    assert f"{_figure_row(896163).H:.9f}" == "16.878265577"
+    """At g = 896163 the float route, from the start carried from the row
+    before, rounds up at the 9th decimal where H(g) rounds down; it lies
+    within the margin, so the row takes H's own route there."""
+    g, ln2 = 896163, math.log(2)
+    w = (H(g - 1) - 2) * ln2  # the table's row g - 1 prints H(g - 1)'s decimals
+    h = fgenus._float_seed((g - 1) * ln2 / 2, w + w / ((g - 2) * (1 + w))) / ln2 + 2
+    assert f"{h:.9f}" == "16.878265578"
+    assert abs(h * 1e9 % 1 - 0.5) < fgenus._TABLE_MARGIN
+    assert f"{H(g):.9f}" == "16.878265577"
+    assert f"{fgenus._envelope_fixed(g << fgenus._FIX, g):.9f}" == "16.878265577"
 
 
 def test_a_figure_row_takes_H_s_route_only_near_a_rounding_boundary(monkeypatch):
@@ -838,7 +845,7 @@ def test_figure_cap_refuses_before_any_row(monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(fgenus, "_figure_row", no_row)
+    monkeypatch.setattr(fgenus, "decompose", no_row)  # every row starts with one
     for gmax in (MAX_FIGURE_G + 1, 10**10):
         with pytest.raises(CapError, match="figure cap"):
             figure1_data(gmax)

@@ -25,7 +25,7 @@ import involab
 from involab.action import lemma_generators
 from involab.cover import build_cover, presentation
 from involab.errors import ValidationError
-from involab.fgenus import FigureRow, FValue, GenusDecomposition, _figure_row, decompose, f_exact
+from involab.fgenus import FigureRow, FValue, GenusDecomposition, decompose, f_exact, figure1_data
 from involab.rzk import SurfaceReport, build, verify_closed_surface
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary
 
@@ -132,7 +132,7 @@ VALUES = [
     build_cover(presentation(True, 1), [0b01, 0b10]),
     decompose(9),
     f_exact(3),
-    _figure_row(5),
+    figure1_data(5)[5],
 ]
 
 
@@ -181,9 +181,9 @@ def test_surface_report_repr_is_unchanged():
 
 def test_fgenus_rows_keep_their_fields():
     assert repr(decompose(9)) == "GenusDecomposition(g=9, chi=-16, a=-2, n=3)"
-    assert repr(_figure_row(5)) == ("FigureRow(g=5, f_lower=2, f_upper=3, f_exact=3, H=3.0, "
-                                    "equality=True)")
-    assert _figure_row(5) == FigureRow(5, 2, 3, 3, 3.0, True)
+    row = figure1_data(5)[5]
+    assert repr(row) == "FigureRow(g=5, f_lower=2, f_upper=3, f_exact=3, H=3.0, equality=True)"
+    assert row == FigureRow(5, 2, 3, 3, 3.0, True)
     # FValue is the f --exact JSON object: its fields are the keys, in print order
     assert FValue._fields == ("g", "f_lower", "f_upper", "f_exact", "resolved", "method",
                               "certificate")

@@ -2,13 +2,15 @@
 
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from involab import scomplex
-from involab.action import lemma_generators, max_free_rank
+from involab.action import Subgroup, lemma_generators, max_free_rank, orientation_sign
 from involab.cover import build_cover, parse_phi, presentation
 from involab.errors import CapError, ValidationError
+from involab.fgenus import H, lambert_w
 from involab.rzk import build, polygon_genus, surface_report
 from involab.scomplex import (
     MAX_FACES,
@@ -148,6 +150,21 @@ WRONG_TYPES = {
     "polygon_boundary('5')": (polygon_boundary, ("5",), "m must be an int, got '5'"),
     "lemma_generators(5.0)": (lemma_generators, (5.0,), "m must be an int, got 5.0"),
     "polygon_genus(5.0)": (polygon_genus, (5.0,), "m must be an int, got 5.0"),
+    "Subgroup((1.5,))": (Subgroup, ((1.5,),), "generator 1.5 is not a nonnegative int"),
+    "Subgroup(('3',))": (Subgroup, (("3",),), "generator '3' is not a nonnegative int"),
+    "Subgroup((3, -1))": (Subgroup, ((3, -1),), "generator -1 is not a nonnegative int"),
+    "Subgroup(5)": (Subgroup, (5,), "generators must be iterable, got 5"),
+    "H('5')": (H, ("5",), "H needs an int, float or mpf genus, got '5'"),
+    "H(None)": (H, (None,), "H needs an int, float or mpf genus, got None"),
+    "H(1j)": (H, (1j,), "H needs an int, float or mpf genus, got 1j"),
+    "H(Fraction(7, 2))": (H, (Fraction(7, 2),),
+                          re.escape("H needs an int, float or mpf genus, got Fraction(7, 2)")),
+    "lambert_w('x')": (lambert_w, ("x",), "lambert_w needs a real x, got 'x'"),
+    "lambert_w(None)": (lambert_w, (None,), "lambert_w needs a real x, got None"),
+    "orientation_sign(C, 1.5)": (orientation_sign, (build(polygon_boundary(4)), 1.5),
+                                 "an element must be a nonnegative int, got 1.5"),
+    "orientation_sign(C, -1)": (orientation_sign, (build(polygon_boundary(4)), -1),
+                                "an element must be a nonnegative int, got -1"),
 }
 
 
@@ -155,6 +172,19 @@ WRONG_TYPES = {
 def test_an_argument_of_the_wrong_type_is_a_validation_error(fn, args, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         fn(*args)
+
+
+def test_make_and_replace_build_through_the_constructor():
+    """A complex from ``_make`` or ``_replace`` is checked and closed like
+    one from the constructor."""
+    K = polygon_boundary(4)
+    assert K._replace(faces=frozenset({7})) == SimplicialComplex(4, [7])
+    assert SimplicialComplex._make((3, frozenset({7}))) == SimplicialComplex(3, [7])
+    assert K._replace(m=5) == SimplicialComplex(5, K.faces)
+    with pytest.raises(ValidationError, match="^m must be an int, got 3.5$"):
+        K._replace(m=3.5)
+    with pytest.raises(ValidationError, match="exceeds ambient"):
+        K._replace(m=2)
 
 
 def test_a_bool_face_mask_or_vertex_counts_as_an_int():
