@@ -5,7 +5,8 @@ supported on S sends x_i to -x_i for i in S. The action restricts to the
 complex over any K and permutes its cells: a cell keeps its free set and
 has its sign bits toggled on support \\ free. An element is its support,
 an int bitmask over K's vertices (bit i-1 = vertex i) like K's faces:
-composition is XOR, and the identity is 0.
+composition is XOR, and the identity is 0. An element or a subgroup with
+support outside the m vertices is refused.
 
 Fixed points are governed by a single membership test: an element g has
 a fixed point on the complex iff ``g in K.faces`` (the fixed set needs
@@ -23,10 +24,11 @@ The largest free rank is the real Buchstaber number s_R(K) = m - r
 dimension of a linear colouring: a map from K's vertices to GF(2)^r
 keeping every face independent, whose kernel acts freely (the quotient
 by a free subgroup is one). A colouring search gives r and a colouring
-λ, and the witness is ker λ, of rank m - r; its freeness is checked
-against the faces, so the rank is certified from both sides. No m is
-refused: MAX_SEARCH_STEPS bounds the search's time, and the vertex and
-face caps of ``scomplex`` its memory.
+λ, and the witness is ker λ, of rank m - r, read off one elimination
+over λ's values; its freeness is checked against the faces, so the rank
+is certified from both sides. No m is refused: MAX_SEARCH_STEPS bounds
+the search's time, and the vertex and face caps of ``scomplex`` its
+memory.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterable, NamedTuple
 from . import gf2
 from .errors import CapError, CrossCheckError, ValidationError
 from .rzk import CubicalSurface, orientability
-from .scomplex import SimplicialComplex, mask_of, vertices_of
+from .scomplex import MAX_VERTICES, SimplicialComplex, mask_of, vertices_of
 
 # The colouring search's budget. A step is one visit to a position or one span
 # element of the values it must avoid, 130-330 ns on every family measured, while a
@@ -73,11 +75,10 @@ class Subgroup(_SubgroupFields):
             gens = tuple(generators)
         except TypeError:
             raise ValidationError(f"generators must be iterable, got {generators!r}") from None
-        try:
-            reduced = tuple(gf2.rref(gens))
-        except (AttributeError, TypeError, ValueError):  # from the first bad generator
-            bad = next(v for v in gens if not isinstance(v, int) or v < 0)
-            raise ValidationError(f"generator {bad!r} is not a nonnegative int") from None
+        for v in gens:  # a bool is an int
+            if not isinstance(v, int) or v < 0:
+                raise ValidationError(f"generator {v!r} is not a nonnegative int")
+        reduced = tuple(gf2.rref(gens))
         if basis is not None and (basis := tuple(basis)) != reduced:
             raise ValidationError(f"basis {basis} is not {reduced}, the reduced echelon "
                                   f"basis of the span of the generators {gens}")
@@ -103,13 +104,14 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
     another's pivot. So each vertex v has a syndrome, the reduction of e_v:
     e_v off the pivots, b ^ e_p at the pivot p of row b, and a face lies in
     the span iff the syndromes of its vertices add up to 0. That takes
-    O(sum of |f|), not O(|K| rank) or 2^rank.
+    O(sum of |f|), not O(|K| rank) or 2^rank. Every pivot is below m:
+    ``is_free_subgroup`` refuses a subgroup outside (Z/2)^m, and the
+    free-rank witness lies inside it.
     """
     syndrome = [1 << v for v in range(K.m)]
     for b in H.basis:
         p = b.bit_length() - 1
-        if p < K.m:  # a pivot at m or above is in no face
-            syndrome[p] = b ^ 1 << p
+        syndrome[p] = b ^ 1 << p
     for f in K.faces:
         rest, g = 0, f
         while g:
@@ -123,7 +125,11 @@ def _face_in_span(K: SimplicialComplex, H: Subgroup) -> int:
 
 def is_free_subgroup(K: SimplicialComplex, H: Subgroup) -> bool:
     """True iff every nonidentity element of H moves every point, that is
-    iff no nonzero face of K lies in the span of H."""
+    iff no nonzero face of K lies in the span of H. H must lie in (Z/2)^m,
+    or ValidationError is raised."""
+    if H.basis and H.basis[-1] >> K.m:  # the highest pivot comes last
+        raise ValidationError(f"the subgroup's basis row {H.basis[-1]} has support "
+                              f"outside the {K.m} vertices")
     return not _face_in_span(K, H)
 
 
@@ -140,6 +146,8 @@ def lemma_generators(m: int) -> Subgroup:
         raise ValidationError(f"m must be an int, got {m!r}")
     if m < 3:
         raise ValidationError(f"lemma generators need m >= 3, got {m}")
+    if m > MAX_VERTICES:
+        raise CapError(f"m={m} exceeds the vertex cap {MAX_VERTICES}")
     k = m // 2
     supports: list[list[int]] = []
     supports += [[2 * i - 1, 2 * i + 1] for i in range(1, k)]
@@ -160,6 +168,8 @@ def orientation_sign(C: CubicalSurface, g: int) -> int:
     """
     if not isinstance(g, int) or g < 0:  # a bool is an int; a negative one has no support
         raise ValidationError(f"an element must be a nonnegative int, got {g!r}")
+    if g >> C.m:
+        raise ValidationError(f"the element {g} has support outside the {C.m} vertices")
     orientability(C)  # raises NotASurfaceError unless C is a closed surface
     return -1 if g.bit_count() % 2 else 1
 
@@ -171,14 +181,28 @@ def _plan(K: SimplicialComplex) -> tuple[list[int], list[list[list[int]]], list[
     the span of the rest of every largest face that it closes. r starts at
     dim K + 1 and at the bit length of a greedy clique, which needs distinct
     nonzero values; one unit vector per vertex always works.
+
+    One walk of K's faces sorts them into vertices, edges and larger faces.
+    A vertex that enlarges an edge meets both of its ends, so an edge is
+    tested only against its ends' common neighbours, and on a graph not at all.
     """
     faces, m = K.faces, K.m
-    nbr = [0] * m
+    nbr, vertices, edges, larger, size = [0] * m, [], [], [], 0  # size: that of the largest face
     for f in faces:
-        if f.bit_count() == 2:
-            nbr[f.bit_length() - 1] |= f & -f
-            nbr[(f & -f).bit_length() - 1] |= f & (f - 1)
-    order = sorted((v for v in range(m) if 1 << v in faces), key=lambda v: -nbr[v].bit_count())
+        n = f.bit_count()
+        if n == 2:
+            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+            edges.append((a, b))
+        elif n == 1:
+            vertices.append(f.bit_length() - 1)
+        elif n:
+            larger.append(f)
+            size = max(size, n)
+    size = size or (2 if edges else 1 if vertices else 0)
+    vertices.sort()
+    order = sorted(vertices, key=lambda v: -nbr[v].bit_count())
     pos, before, clique = [0] * m, [0], 0
     for i, v in enumerate(order):
         pos[v] = i
@@ -187,21 +211,30 @@ def _plan(K: SimplicialComplex) -> tuple[list[int], list[list[list[int]]], list[
             clique |= 1 << v
     closing: list[list[list[int]]] = [[] for _ in order]  # by position: the others' positions
     cost = [1] * (len(order) + 1)  # by position: a visit and the span elements it builds
-    for f in faces:
-        if f & (f - 1):
-            rest, g = [], f
-            while g:
-                rest.append(pos[(g & -g).bit_length() - 1])
-                g &= g - 1
-            rest.sort()
-            last = rest.pop()
-            grow = nbr[order[last]] & before[last] & ~f  # earlier vertices that may enlarge f
-            while grow and f | grow & -grow not in faces:
-                grow &= grow - 1
-            if not grow:
-                closing[last].append(rest)
-                cost[last] += 1 << len(rest)
-    return order, closing, cost, max(K.dim + 1, clique.bit_count().bit_length())
+    for a, b in edges:
+        first, last = pos[a], pos[b]
+        if first > last:
+            first, last = last, first
+        grow = nbr[a] & nbr[b] & before[last]  # earlier vertices that may enlarge the edge
+        while grow and 1 << a | 1 << b | grow & -grow not in faces:
+            grow &= grow - 1
+        if not grow:
+            closing[last].append([first])
+            cost[last] += 2
+    for f in larger:
+        rest, g = [], f
+        while g:
+            rest.append(pos[(g & -g).bit_length() - 1])
+            g &= g - 1
+        rest.sort()
+        last = rest.pop()
+        grow = nbr[order[last]] & before[last] & ~f  # earlier vertices that may enlarge f
+        while grow and f | grow & -grow not in faces:
+            grow &= grow - 1
+        if not grow:
+            closing[last].append(rest)
+            cost[last] += 1 << len(rest)
+    return order, closing, cost, max(size, clique.bit_count().bit_length())
 
 
 def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
@@ -223,6 +256,9 @@ def _colouring(K: SimplicialComplex) -> tuple[int, list[int]]:
             break
         forbidden = {0}
         for rest in closing[i]:
+            if len(rest) == 1:  # an edge forbids its other end's value
+                forbidden.add(frames[rest[0]][1])
+                continue
             span = [0]
             for u in rest:
                 w = frames[u][1]
@@ -252,18 +288,16 @@ def max_free_rank(K: SimplicialComplex) -> tuple[int, Subgroup]:
     """Largest rank of a freely acting subgroup, with a deterministic witness.
 
     ``_colouring`` gives the least r and a colouring λ into GF(2)^r. The
-    witness is ker λ: in one echelon form of the rows (λ(e_v) << m) | e_v,
-    the rows with no bit at m or above are its canonical basis. Two
-    checks raise CrossCheckError: the kernel's rank must be m - r (a
-    larger kernel means λ is not onto, so r was not the least), and no
-    face may lie in it.
+    witness is ker λ in its canonical basis, which ``gf2.kernel`` reads off
+    one elimination over λ's values. Two checks raise CrossCheckError: the
+    kernel's rank must be m - r (a larger kernel means λ is not onto, so r
+    was not the least), and no face may lie in it.
     """
     m = K.m
     r, colouring = _colouring(K)
-    rows = gf2.rref(w << m | 1 << v for v, w in enumerate(colouring))
-    kernel = tuple(b for b in rows if not b >> m)
-    # some of rref's rows, so their own reduced basis: built unchecked, since
-    # Subgroup(kernel) would take one more rref for the same basis
+    kernel = tuple(gf2.kernel(colouring))
+    # already the canonical basis of its span: built unchecked, since
+    # Subgroup(kernel) would take an rref for the same basis
     witness = tuple.__new__(Subgroup, (kernel, kernel))
     if witness.rank != m - r:
         raise CrossCheckError(f"the colouring's kernel has rank {witness.rank}, not {m - r}")

@@ -7,6 +7,7 @@ bit fiddling. A row's pivot is its highest set bit. ``rank`` and
 ``rref`` goes on to the canonical form, reduced row echelon, where also no
 row contains another's pivot and rows are sorted by pivot ascending. Each
 subspace has exactly one such basis, which makes witnesses deterministic.
+``kernel`` gives that basis for the kernel of a map given by its values.
 """
 
 from __future__ import annotations
@@ -53,6 +54,33 @@ def rref(vectors: Iterable[int]) -> list[int]:
         reduced[p] = v
         below |= 1 << p
     return list(reduced.values())
+
+
+def kernel(values: Iterable[int]) -> list[int]:
+    """Canonical RREF basis of the kernel of the map e_v -> ``values[v]``.
+
+    One elimination over the values, in order, in which each pivot row
+    carries the vertices that sum to it: a value that reduces to 0 gives
+    the kernel row e_v plus those vertices. They all gave pivot rows, so a
+    kernel row holds no kernel pivot but its own, v, and the pivots rise.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # by pivot: the row and the vertices that sum to it
+    out = []
+    for v, x in enumerate(values):
+        if x < 0:
+            raise ValueError("pivot of a nonpositive vector is undefined")
+        sums = 1 << v
+        while x:
+            p = x.bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = x, sums
+                break
+            x ^= row[0]
+            sums ^= row[1]
+        else:
+            out.append(sums)
+    return out
 
 
 def rank(vectors: Iterable[int]) -> int:

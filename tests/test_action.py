@@ -29,7 +29,14 @@ from involab.errors import CapError, CrossCheckError, NotASurfaceError, Validati
 from involab.rzk import Cell, build, orientability
 from involab.scomplex import SimplicialComplex, from_facets, mask_of, polygon_boundary, vertices_of
 
-from test_action_oracle import apply, span_elements, subspace_bases
+from test_action_oracle import (
+    K24,
+    TRIANGLES_16,
+    TRIANGLES_60,
+    apply,
+    span_elements,
+    subspace_bases,
+)
 from test_gf2 import pivot
 from test_rzk_oracle import square_signs
 
@@ -309,12 +316,6 @@ def test_max_free_rank_deterministic_witness():
     assert w1.basis_vertex_lists() == [[1, 3], [2, 4], [1, 2, 5]]
 
 
-K24 = from_facets(24, itertools.combinations(range(1, 25), 2))
-TRIANGLES_16 = from_facets(16, itertools.combinations(range(1, 17), 3))
-TRIANGLES_60 = from_facets(24, random.Random(5).sample(
-    list(itertools.combinations(range(1, 25), 3)), 60))
-
-
 def test_complete_graphs_stop_at_the_colouring_bound():
     # K_m needs m distinct nonzero values, so the rank is m - ceil(log2(m + 1)); a
     # subspace search took more than 30 s on these from m = 16, and 5 s on the
@@ -356,3 +357,19 @@ def test_max_free_rank_cap():
 def test_lemma_generators_rejects_small_m():
     with pytest.raises(ValidationError):
         lemma_generators(2)
+
+
+@pytest.mark.parametrize("m", [1025, 1 << 80])
+def test_lemma_generators_refuses_m_above_the_vertex_cap(m):
+    assert lemma_generators(1024).rank == 1022
+    with pytest.raises(CapError, match=f"^m={m} exceeds the vertex cap 1024$"):
+        lemma_generators(m)
+
+
+def test_orientation_sign_refuses_an_element_outside_the_vertices():
+    C = build(polygon_boundary(4))
+    assert orientation_sign(C, 0b1111) == 1
+    with pytest.raises(ValidationError, match="^the element 16 has support outside the 4 vertices$"):
+        orientation_sign(C, 1 << 4)
+    with pytest.raises(ValidationError, match="has support outside the 4 vertices$"):
+        orientation_sign(C, 1 << 50)

@@ -18,6 +18,11 @@ CapError on the same inputs under a small budget. Both take their plan,
 the vertex order, the pruned faces, the step costs and r's start, from
 ``action._plan``, so the comparison checks the search alone; the
 pruning is checked against every face of K that closes at a position.
+``oracle_plan`` is ``action._plan`` as it was before it sorted K's faces
+in one walk and tested an edge against its ends' common neighbours
+alone: it tests every face against each earlier neighbour of its last
+vertex, and reads dim K off the faces again. The two must give the same
+order, costs and r's start, and the same faces closing at each position.
 
 ``span_elements`` lists all 2^rank elements of a subgroup, and
 ``oracle_is_free_subgroup`` checks each against the faces, as
@@ -25,9 +30,11 @@ pruning is checked against every face of K that closes at a position.
 echelon basis instead. ``oracle_face_in_span`` is that reduction: it
 reduces each face by every basis row in turn, as ``_face_in_span`` did
 before it added up per-vertex syndromes, and both must report the same
-first face of ``K.faces``, or 0. ``apply``, the action of an element on a cell,
-and ``subspace_bases``, every subspace of GF(2)^dim once, serve the
-brute-force checks in ``test_action.py`` and ``test_acceptance.py``.
+first face of ``K.faces``, or 0, for a subgroup of (Z/2)^m; one with a
+basis row past the m vertices ``is_free_subgroup`` refuses. ``apply``,
+the action of an element on a cell, and ``subspace_bases``, every
+subspace of GF(2)^dim once, serve the brute-force checks in
+``test_action.py`` and ``test_acceptance.py``.
 """
 
 import itertools
@@ -40,7 +47,7 @@ from hypothesis import strategies as st
 
 from involab import action, gf2
 from involab.action import Subgroup, is_free_subgroup, max_free_rank
-from involab.errors import CapError, CrossCheckError
+from involab.errors import CapError, CrossCheckError, ValidationError
 from involab.rzk import Cell
 from involab.scomplex import SimplicialComplex, from_facets, polygon_boundary, vertices_of
 from test_gf2 import pivot
@@ -142,6 +149,41 @@ def oracle_max_free_rank(K):
     return best_rank, best_basis
 
 
+def oracle_plan(K):
+    """``action._plan`` as it was before it sorted the faces in one walk:
+    (order, closing, cost, r0)."""
+    faces, m = K.faces, K.m
+    nbr = [0] * m
+    for f in faces:
+        if f.bit_count() == 2:
+            nbr[f.bit_length() - 1] |= f & -f
+            nbr[(f & -f).bit_length() - 1] |= f & (f - 1)
+    order = sorted((v for v in range(m) if 1 << v in faces), key=lambda v: -nbr[v].bit_count())
+    pos, before, clique = [0] * m, [0], 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        before.append(before[i] | 1 << v)
+        if clique & nbr[v] == clique:
+            clique |= 1 << v
+    closing = [[] for _ in order]
+    cost = [1] * (len(order) + 1)
+    for f in faces:
+        if f & (f - 1):
+            rest, g = [], f
+            while g:
+                rest.append(pos[(g & -g).bit_length() - 1])
+                g &= g - 1
+            rest.sort()
+            last = rest.pop()
+            grow = nbr[order[last]] & before[last] & ~f
+            while grow and f | grow & -grow not in faces:
+                grow &= grow - 1
+            if not grow:
+                closing[last].append(rest)
+                cost[last] += 1 << len(rest)
+    return order, closing, cost, max(K.dim + 1, clique.bit_count().bit_length())
+
+
 def oracle_colouring(K):
     """``action._colouring`` with its search written as a recursive ``assign``,
     one call per position, as it was before the search kept its positions on
@@ -224,6 +266,12 @@ def _random_complex(kind, rng):
 KINDS = {"polygon": 120, "sparse": 160, "graph": 120, "ghost": 80, "skeleton": 30, "empty": 12,
          "simplex": 10}
 
+# the complexes whose step counts MAX_SEARCH_STEPS's comment states
+K24 = from_facets(24, itertools.combinations(range(1, 25), 2))
+TRIANGLES_16 = from_facets(16, itertools.combinations(range(1, 17), 3))
+TRIANGLES_60 = from_facets(24, random.Random(5).sample(
+    list(itertools.combinations(range(1, 25), 3)), 60))
+
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_search_agrees_with_the_span_scan(kind):
@@ -288,6 +336,17 @@ def test_the_plan_forbids_what_every_face_closing_at_a_position_forbids():
     assert pruned  # the pruning dropped faces somewhere
 
 
+def test_the_plan_matches_the_plan_that_tests_every_face():
+    def as_multisets(plan):
+        order, closing, cost, r0 = plan
+        return order, [sorted(rests) for rests in closing], cost, r0
+
+    rng = random.Random("colouring-plan-oracle")
+    complexes = [_random_complex(kind, rng) for kind in sorted(KINDS) for _ in range(KINDS[kind])]
+    for K in complexes + [K24, TRIANGLES_16, TRIANGLES_60]:
+        assert as_multisets(action._plan(K)) == as_multisets(oracle_plan(K)), K
+
+
 @st.composite
 def complexes_with_ghosts(draw):
     """At most 10 vertices, facets of at most 4; vertices in no facet are ghosts."""
@@ -347,20 +406,25 @@ def test_search_loop_agrees_with_the_recursive_search_on_ghosts(K, budget):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(complexes_with_ghosts(), st.data())
 def test_syndromes_find_the_face_that_the_basis_reduction_finds(K, data):
-    # generators reach two bits past K's vertices, so some basis rows have
-    # their pivot outside the vertex range
+    # generators reach two bits past K's vertices, so some subgroups lie
+    # outside (Z/2)^m, and those are refused
     vectors = st.integers(0, (1 << K.m + 2) - 1)
     H = Subgroup(data.draw(st.lists(vectors, max_size=K.m + 2)))
-    assert action._face_in_span(K, H) == oracle_face_in_span(K, H)
+    if any(b >> K.m for b in H.basis):
+        with pytest.raises(ValidationError, match="outside the"):
+            is_free_subgroup(K, H)
+    else:
+        assert action._face_in_span(K, H) == oracle_face_in_span(K, H)
 
 
-@pytest.mark.parametrize("generators,face", [
-    ([0b1_0011, 0b100_0001], 0),  # pivots 4 and 6 lie past the square's vertices
-    ([0b0011, 0b10_0101], 0b0011),  # the edge {1, 2} beside a row with pivot 5
-])
-def test_syndromes_take_basis_rows_outside_the_vertex_range(generators, face):
-    K, H = polygon_boundary(4), Subgroup(generators)
-    assert action._face_in_span(K, H) == oracle_face_in_span(K, H) == face
+@pytest.mark.parametrize("generators", [
+    [0b1_0011, 0b100_0001],  # pivots 4 and 6 lie past the square's vertices
+    [0b0011, 0b10_0101],  # the edge {1, 2} beside a row with pivot 5
+    [1 << 50],
+], ids=["pivots-4-and-6", "pivot-5-beside-an-edge", "pivot-50"])
+def test_is_free_subgroup_refuses_basis_rows_outside_the_vertex_range(generators):
+    with pytest.raises(ValidationError, match="has support outside the 4 vertices$"):
+        is_free_subgroup(polygon_boundary(4), Subgroup(generators))
 
 
 def chromatic_number(edges, vertices):

@@ -6,8 +6,11 @@ on every row for every vector it reduces, and sorts by pivot. The rows
 of a reduced basis have distinct highest bits, so both orders agree,
 and the two must return the same list on any input. ``rank`` and
 ``in_span`` stop at an echelon form of their own, so they are checked
-against the oracle's rank too.
+against the oracle's rank too. ``kernel`` must give the rows of
+``rref`` over the rows (value << m) | e_v that have no bit at m or above.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -86,3 +89,22 @@ def test_in_span_refuses_a_negative_vector():
     for v, vectors in ((-2, [3]), (-1, []), (-1, [1]), (3, [1, -2])):
         with pytest.raises(ValueError, match="pivot of a nonpositive vector is undefined"):
             gf2.in_span(v, vectors)
+
+
+def test_kernel_is_the_rref_of_the_graph_rows_inside_the_vertex_range():
+    seen = set()
+    for seed in range(400):
+        rng = random.Random(f"kernel-{seed}")
+        m, r = rng.randint(0, 16), rng.randint(1, 6)
+        pool = [rng.randrange(1 << r) for _ in range(rng.randint(1, 6))] + [0]
+        values = [rng.choice(pool) for _ in range(m)]  # zeros and repeats are common
+        want = [b for b in gf2.rref(w << m | 1 << v for v, w in enumerate(values)) if not b >> m]
+        assert gf2.kernel(values) == want, values
+        assert gf2.kernel(iter(values)) == want  # one pass over any iterable
+        seen.add((0 in values, len(set(values)) < m, gf2.rank(values) < r))
+    assert {(True, True, True), (False, False, False), (False, False, True)} <= seen
+
+
+def test_kernel_refuses_a_negative_value():
+    with pytest.raises(ValueError):
+        gf2.kernel([1, -1])

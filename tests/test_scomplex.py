@@ -153,6 +153,8 @@ WRONG_TYPES = {
     "Subgroup((1.5,))": (Subgroup, ((1.5,),), "generator 1.5 is not a nonnegative int"),
     "Subgroup(('3',))": (Subgroup, (("3",),), "generator '3' is not a nonnegative int"),
     "Subgroup((3, -1))": (Subgroup, ((3, -1),), "generator -1 is not a nonnegative int"),
+    "Subgroup((0.0, 3))": (Subgroup, ((0.0, 3),), "generator 0.0 is not a nonnegative int"),
+    "Subgroup((None,))": (Subgroup, ((None,),), "generator None is not a nonnegative int"),
     "Subgroup(5)": (Subgroup, (5,), "generators must be iterable, got 5"),
     "H('5')": (H, ("5",), "H needs an int, float or mpf genus, got '5'"),
     "H(None)": (H, (None,), "H needs an int, float or mpf genus, got None"),
